@@ -81,8 +81,8 @@ fn bench_campaign(c: &mut Criterion) {
     }
 
     // Def/use-pruned counterparts of the two headline campaigns, on the
-    // checkpointed engine: the fully-optimised configuration the speedup
-    // table reports (see also `bench_campaign --json`).
+    // checkpointed engine: the fully-optimised configuration (the
+    // end-to-end benchmark of record is `campaign_bench/`).
     for (label, workload) in [
         ("pruned_campaign_algorithm1", Workload::algorithm_one()),
         ("pruned_campaign_algorithm2", Workload::algorithm_two()),

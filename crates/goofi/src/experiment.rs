@@ -269,8 +269,8 @@ pub struct GoldenRun {
     /// ordered instants at which an asynchronous observer (pipeline
     /// fetch, branch-condition check, cache hit check, EDM sample)
     /// actually consulted or wholly redeposited it, plus operand-latch
-    /// shift instants. Extends analytic classification and lockstep
-    /// batching to the PC/PSR/tag/buffer fault population.
+    /// shift instants. Extends analytic classification to the
+    /// PC/PSR/tag/buffer fault population.
     pub vis: VisTrace,
     /// Process-unique token identifying this golden run to the per-worker
     /// machine arenas (DESIGN.md §8j). A worker's resident machine is only
@@ -497,21 +497,6 @@ impl FaultInjector {
             locations,
             kind,
             injected: false,
-        }
-    }
-
-    /// An injector for a replica split off a lockstep batch: the flip was
-    /// already deposited by [`bera_tcpu::BatchMachine::materialize`], so
-    /// this injector starts quiescent — it never perturbs the machine, it
-    /// only reports the fault as delivered (enabling convergence pruning
-    /// from the first boundary, exactly as a scalar run of the same fault
-    /// would be by its split instant).
-    fn pre_injected(fault: FaultSpec) -> Self {
-        FaultInjector {
-            inject_at: fault.inject_at,
-            locations: Vec::new(),
-            kind: InjectKind::Flip,
-            injected: true,
         }
     }
 
@@ -1181,9 +1166,7 @@ pub(crate) fn run_experiment_watchdog(
 }
 
 /// Classifies a finished drive into the final [`ExperimentRecord`] and
-/// fires the detection / splice / classified observer events. Shared by
-/// the scalar experiment path and the lockstep split-off path so both
-/// produce records through the identical code.
+/// fires the detection / splice / classified observer events.
 #[allow(clippy::too_many_arguments)]
 fn classify_drive(
     result: DriveResult,
@@ -1261,94 +1244,6 @@ fn classify_drive(
     };
     observer.experiment_classified(index, &record);
     Ok(record)
-}
-
-/// Runs the divergent tail of a replica split off a lockstep batch (see
-/// [`bera_tcpu::BatchMachine`]): materializes the replica's exact state at
-/// the last golden checkpoint at or before its split instant — golden
-/// state plus the surviving `flips` — and drives the ordinary
-/// inject–run–classify pipeline from there with a pre-injected
-/// [`FaultInjector`]. The lockstep prefix between injection and that
-/// checkpoint is never executed; by the batch engine's invariant (no delta
-/// unit accessed in that window) the materialized state is bit-identical
-/// to what the scalar path would have computed, so the record is too.
-///
-/// Returns `None` when there is no checkpoint inside `[inject_at,
-/// split_at]` to materialize from — the split saves nothing over the
-/// scalar path then, and the caller falls back to it.
-///
-/// # Panics
-///
-/// Panics if `fault.location_index` is outside the scan catalog.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_split_experiment(
-    cfg: &LoopConfig,
-    golden: &GoldenRun,
-    fault: FaultSpec,
-    flips: &[BitLocation],
-    split_at: u64,
-    detail: bool,
-    index: usize,
-    observer: &dyn CampaignObserver,
-) -> Option<ExperimentRecord> {
-    let location = scan::catalog()[fault.location_index];
-    let cap = instruction_cap(golden.total_instructions);
-    let ci = golden.checkpoint_index_before(split_at)?;
-    let ckpt = &golden.checkpoints[ci];
-    if ckpt.machine.instr_count() < fault.inject_at {
-        // The nearest checkpoint predates the injection: flips deposited
-        // there would amount to injecting early. No prefix is skipped by
-        // splitting here anyway, so let the scalar path run it.
-        return None;
-    }
-    let (mut machine, copied, full_clone) = arena_checkout(golden, ci);
-    observer.arena_restored(copied, full_clone);
-    if !cfg.fast_replay {
-        machine.set_fast_replay(false);
-    }
-    for &bit in flips {
-        machine.scan_flip(bit);
-    }
-    let injector = FaultInjector::pre_injected(fault);
-    observer.experiment_started(index, fault, Some(ckpt.iteration));
-    observer.fault_injected(index, fault);
-    let start_instructions = machine.instr_count();
-    let start_block_instructions = machine.block_instructions();
-    let mut prefix_outputs = Vec::with_capacity(cfg.iterations);
-    prefix_outputs.extend_from_slice(&golden.outputs[..ckpt.iteration]);
-    let mut prefix_speeds = Vec::with_capacity(cfg.iterations + 1);
-    prefix_speeds.extend_from_slice(&golden.speeds[..=ckpt.iteration]);
-    let result = drive_from(
-        &mut machine,
-        cfg,
-        ckpt.engine.clone(),
-        ckpt.iteration,
-        prefix_outputs,
-        prefix_speeds,
-        Some(injector),
-        cap,
-        None,
-        DriveMode::Prune {
-            golden,
-            resident: ci,
-        },
-        &mut || {},
-    );
-    observer.experiment_executed(
-        index,
-        machine.instr_count().saturating_sub(start_instructions),
-        machine
-            .block_instructions()
-            .saturating_sub(start_block_instructions),
-    );
-    let record = match classify_drive(
-        result, &machine, golden, fault, location, detail, index, observer,
-    ) {
-        Ok(record) => Some(record),
-        Err(WatchdogExpired) => unreachable!("no deadline was set"),
-    };
-    arena_release(machine, golden, ci);
-    record
 }
 
 fn deviation_stats(golden: &[u32], observed: &[u32], threshold: f64) -> (f64, Option<usize>) {

@@ -169,8 +169,6 @@ pub struct FarmManifest {
     pub prune: bool,
     /// EDM-visibility analytic layer enabled.
     pub vis: bool,
-    /// Lockstep batch width.
-    pub batch_width: usize,
     /// Lease timing for this farm.
     pub lease: LeasePolicy,
     /// The store header every segment (and the merged store) must carry.
@@ -196,7 +194,6 @@ impl FarmManifest {
         cfg.fault_model = self.fault_model;
         cfg.prune = self.prune;
         cfg.vis = self.vis;
-        cfg.batch_width = self.batch_width;
         cfg
     }
 
@@ -418,7 +415,6 @@ pub fn init_farm(
         fault_model: cfg.fault_model,
         prune: cfg.prune,
         vis: cfg.vis,
-        batch_width: cfg.batch_width,
         lease,
         header,
         shards,

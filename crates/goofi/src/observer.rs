@@ -42,11 +42,7 @@ pub trait CampaignObserver: Sync {
         let _ = stats;
     }
 
-    /// The lockstep batch pass finished admission: `rejected_untraceable`
-    /// candidates had no admissible delta unit and stay scalar,
-    /// `vis_admitted` replicas were admitted only thanks to the
-    /// EDM-visibility trace (at least one flipped bit outside the def/use
-    /// trace). Fires once per campaign, after the batch pass.
+    /// Never called; a no-op kept only for `campaign_bench`, which overrides it.
     fn batch_admission(&self, rejected_untraceable: usize, vis_admitted: usize) {
         let _ = (rejected_untraceable, vis_admitted);
     }
@@ -93,23 +89,17 @@ pub trait CampaignObserver: Sync {
         let _ = (index, iteration);
     }
 
-    /// A lockstep batch started resolving `members` replicas (of `width`
-    /// admission capacity) sharing the golden checkpoint window `window`.
+    /// Never called; a no-op kept only for `campaign_bench`, which overrides it.
     fn batch_group_started(&self, window: usize, members: usize, width: usize) {
         let _ = (window, members, width);
     }
 
-    /// A batched replica was fully resolved *inside* lockstep — latent or
-    /// converged — after riding the shared golden stream for
-    /// `lockstep_instructions` dynamic instructions. No scalar execution
-    /// will happen for this fault.
+    /// Never called; a no-op kept only for `campaign_bench`, which overrides it.
     fn replica_resolved(&self, index: usize, lockstep_instructions: u64) {
         let _ = (index, lockstep_instructions);
     }
 
-    /// A batched replica diverged from the golden stream at instruction
-    /// `split_at` (after a free lockstep prefix of
-    /// `lockstep_instructions`) and splits off to the scalar path.
+    /// Never called; a no-op kept only for `campaign_bench`, which overrides it.
     fn replica_split_off(&self, index: usize, split_at: u64, lockstep_instructions: u64) {
         let _ = (index, split_at, lockstep_instructions);
     }
@@ -125,6 +115,13 @@ pub trait CampaignObserver: Sync {
     /// quarantined `experiment_classified` record instead.
     fn experiment_retried(&self, index: usize, cause: HarnessCause) {
         let _ = (index, cause);
+    }
+
+    /// `--paranoid` re-simulated the replicated record of fault `index`
+    /// and found it equivalent. Fires after every replicated record has
+    /// been emitted.
+    fn record_audited(&self, index: usize) {
+        let _ = index;
     }
 
     /// All experiments are done and the result database is assembled.
@@ -170,12 +167,6 @@ impl CampaignObserver for ObserverSet<'_> {
         }
     }
 
-    fn batch_admission(&self, rejected_untraceable: usize, vis_admitted: usize) {
-        for o in &self.observers {
-            o.batch_admission(rejected_untraceable, vis_admitted);
-        }
-    }
-
     fn experiment_started(&self, index: usize, fault: FaultSpec, fast_forward_from: Option<usize>) {
         for o in &self.observers {
             o.experiment_started(index, fault, fast_forward_from);
@@ -212,24 +203,6 @@ impl CampaignObserver for ObserverSet<'_> {
         }
     }
 
-    fn batch_group_started(&self, window: usize, members: usize, width: usize) {
-        for o in &self.observers {
-            o.batch_group_started(window, members, width);
-        }
-    }
-
-    fn replica_resolved(&self, index: usize, lockstep_instructions: u64) {
-        for o in &self.observers {
-            o.replica_resolved(index, lockstep_instructions);
-        }
-    }
-
-    fn replica_split_off(&self, index: usize, split_at: u64, lockstep_instructions: u64) {
-        for o in &self.observers {
-            o.replica_split_off(index, split_at, lockstep_instructions);
-        }
-    }
-
     fn experiment_classified(&self, index: usize, record: &ExperimentRecord) {
         for o in &self.observers {
             o.experiment_classified(index, record);
@@ -239,6 +212,12 @@ impl CampaignObserver for ObserverSet<'_> {
     fn experiment_retried(&self, index: usize, cause: HarnessCause) {
         for o in &self.observers {
             o.experiment_retried(index, cause);
+        }
+    }
+
+    fn record_audited(&self, index: usize) {
+        for o in &self.observers {
+            o.record_audited(index);
         }
     }
 
@@ -278,19 +257,12 @@ pub struct Telemetry {
     fast_forwarded: AtomicUsize,
     analytic: AtomicUsize,
     replicated: AtomicUsize,
-    batch_groups: AtomicUsize,
-    batch_members: AtomicUsize,
-    batch_capacity: AtomicUsize,
-    split_offs: AtomicUsize,
-    lockstep_instructions: AtomicUsize,
     plan_micros: AtomicUsize,
     vis_latent: AtomicUsize,
     vis_overwritten: AtomicUsize,
     sig_overwritten: AtomicUsize,
     value_resolved: AtomicUsize,
     vis_replicated: AtomicUsize,
-    batch_untraceable: AtomicUsize,
-    batch_vis_admitted: AtomicUsize,
     sim_instructions: AtomicUsize,
     block_instructions: AtomicUsize,
     arena_restores: AtomicUsize,
@@ -320,19 +292,12 @@ impl Telemetry {
             fast_forwarded: AtomicUsize::new(0),
             analytic: AtomicUsize::new(0),
             replicated: AtomicUsize::new(0),
-            batch_groups: AtomicUsize::new(0),
-            batch_members: AtomicUsize::new(0),
-            batch_capacity: AtomicUsize::new(0),
-            split_offs: AtomicUsize::new(0),
-            lockstep_instructions: AtomicUsize::new(0),
             plan_micros: AtomicUsize::new(0),
             vis_latent: AtomicUsize::new(0),
             vis_overwritten: AtomicUsize::new(0),
             sig_overwritten: AtomicUsize::new(0),
             value_resolved: AtomicUsize::new(0),
             vis_replicated: AtomicUsize::new(0),
-            batch_untraceable: AtomicUsize::new(0),
-            batch_vis_admitted: AtomicUsize::new(0),
             sim_instructions: AtomicUsize::new(0),
             block_instructions: AtomicUsize::new(0),
             arena_restores: AtomicUsize::new(0),
@@ -397,19 +362,14 @@ impl Telemetry {
             fast_forwarded: load(&self.fast_forwarded),
             analytic: load(&self.analytic),
             replicated: load(&self.replicated),
-            batch_groups: load(&self.batch_groups),
-            batch_members: load(&self.batch_members),
-            batch_capacity: load(&self.batch_capacity),
-            split_offs: load(&self.split_offs),
-            lockstep_instructions: load(&self.lockstep_instructions) as u64,
+            batch_members: 0,
+            split_offs: 0,
             plan_micros: load(&self.plan_micros) as u64,
             vis_latent: load(&self.vis_latent),
             vis_overwritten: load(&self.vis_overwritten),
             sig_overwritten: load(&self.sig_overwritten),
             value_resolved: load(&self.value_resolved),
             vis_replicated: load(&self.vis_replicated),
-            batch_untraceable: load(&self.batch_untraceable),
-            batch_vis_admitted: load(&self.batch_vis_admitted),
             sim_instructions: load(&self.sim_instructions) as u64,
             block_instructions: load(&self.block_instructions) as u64,
             arena_restores: load(&self.arena_restores),
@@ -452,13 +412,6 @@ impl CampaignObserver for Telemetry {
         add(&self.vis_replicated, stats.vis_replicated);
     }
 
-    fn batch_admission(&self, rejected_untraceable: usize, vis_admitted: usize) {
-        self.batch_untraceable
-            .fetch_add(rejected_untraceable, Ordering::Relaxed);
-        self.batch_vis_admitted
-            .fetch_add(vis_admitted, Ordering::Relaxed);
-    }
-
     fn arena_restored(&self, copied_words: usize, full_clone: bool) {
         if full_clone {
             self.arena_full_clones.fetch_add(1, Ordering::Relaxed);
@@ -474,23 +427,6 @@ impl CampaignObserver for Telemetry {
             .fetch_add(instructions as usize, Ordering::Relaxed);
         self.block_instructions
             .fetch_add(block_instructions as usize, Ordering::Relaxed);
-    }
-
-    fn batch_group_started(&self, _window: usize, members: usize, width: usize) {
-        self.batch_groups.fetch_add(1, Ordering::Relaxed);
-        self.batch_members.fetch_add(members, Ordering::Relaxed);
-        self.batch_capacity.fetch_add(width, Ordering::Relaxed);
-    }
-
-    fn replica_resolved(&self, _index: usize, lockstep_instructions: u64) {
-        self.lockstep_instructions
-            .fetch_add(lockstep_instructions as usize, Ordering::Relaxed);
-    }
-
-    fn replica_split_off(&self, _index: usize, _split_at: u64, lockstep_instructions: u64) {
-        self.split_offs.fetch_add(1, Ordering::Relaxed);
-        self.lockstep_instructions
-            .fetch_add(lockstep_instructions as usize, Ordering::Relaxed);
     }
 
     fn experiment_classified(&self, _index: usize, record: &ExperimentRecord) {
@@ -573,17 +509,10 @@ pub struct TelemetrySnapshot {
     pub analytic: usize,
     /// Records replicated from a def/use equivalence-class representative.
     pub replicated: usize,
-    /// Lockstep batches resolved by the batch engine.
-    pub batch_groups: usize,
-    /// Replicas admitted into lockstep batches.
+    /// Always 0. Kept only for `campaign_bench`, which reads it.
     pub batch_members: usize,
-    /// Total admission capacity of the started batches (for occupancy).
-    pub batch_capacity: usize,
-    /// Batched replicas that diverged and split off to the scalar path.
+    /// Always 0. Kept only for `campaign_bench`, which reads it.
     pub split_offs: usize,
-    /// Dynamic instructions batched replicas rode the shared golden stream
-    /// for free (from injection to their fate instant, summed).
-    pub lockstep_instructions: u64,
     /// Wall-clock microseconds the planner spent classifying the fault
     /// list (def/use + visibility + value rules).
     pub plan_micros: u64,
@@ -597,14 +526,9 @@ pub struct TelemetrySnapshot {
     pub value_resolved: usize,
     /// Live faults merged into a class via a visibility window.
     pub vis_replicated: usize,
-    /// Batch candidates rejected at admission: no delta unit covers them
-    /// (the untraceable-must-simulate residue).
-    pub batch_untraceable: usize,
-    /// Replicas admitted to lockstep only thanks to the visibility trace.
-    pub batch_vis_admitted: usize,
-    /// Dynamic instructions executed by scalar experiment drives in this
-    /// process (prefix fast-forward and lockstep riding excluded — this is
-    /// the simulated residue the fast-replay engine attacks).
+    /// Dynamic instructions executed by experiment drives in this process
+    /// (the checkpoint fast-forward prefix excluded — this is the
+    /// simulated residue the fast-replay engine attacks).
     pub sim_instructions: u64,
     /// Of [`sim_instructions`](Self::sim_instructions), how many were
     /// executed by the predecoded block engine instead of the scalar
@@ -655,27 +579,6 @@ impl TelemetrySnapshot {
     #[must_use]
     pub fn defuse_prune_rate(&self) -> f64 {
         (self.analytic + self.replicated) as f64 / (self.completed.max(1)) as f64
-    }
-
-    /// Fraction of batched replicas that diverged and split off to the
-    /// scalar path (the rest were resolved entirely inside lockstep).
-    #[must_use]
-    pub fn split_off_rate(&self) -> f64 {
-        self.split_offs as f64 / (self.batch_members.max(1)) as f64
-    }
-
-    /// Mean free lockstep prefix per batched replica, in dynamic
-    /// instructions.
-    #[must_use]
-    pub fn mean_lockstep_prefix(&self) -> f64 {
-        self.lockstep_instructions as f64 / (self.batch_members.max(1)) as f64
-    }
-
-    /// Mean fill level of the started batches: admitted replicas over
-    /// admission capacity.
-    #[must_use]
-    pub fn batch_occupancy(&self) -> f64 {
-        self.batch_members as f64 / (self.batch_capacity.max(1)) as f64
     }
 
     /// Total analytic verdicts attributable to the visibility/value layer
@@ -737,19 +640,12 @@ impl TelemetrySnapshot {
         self.fast_forwarded += other.fast_forwarded;
         self.analytic += other.analytic;
         self.replicated += other.replicated;
-        self.batch_groups += other.batch_groups;
-        self.batch_members += other.batch_members;
-        self.batch_capacity += other.batch_capacity;
-        self.split_offs += other.split_offs;
-        self.lockstep_instructions += other.lockstep_instructions;
         self.plan_micros += other.plan_micros;
         self.vis_latent = self.vis_latent.max(other.vis_latent);
         self.vis_overwritten = self.vis_overwritten.max(other.vis_overwritten);
         self.sig_overwritten = self.sig_overwritten.max(other.sig_overwritten);
         self.value_resolved = self.value_resolved.max(other.value_resolved);
         self.vis_replicated = self.vis_replicated.max(other.vis_replicated);
-        self.batch_untraceable += other.batch_untraceable;
-        self.batch_vis_admitted += other.batch_vis_admitted;
         self.sim_instructions += other.sim_instructions;
         self.block_instructions += other.block_instructions;
         self.arena_restores += other.arena_restores;
@@ -791,27 +687,15 @@ impl fmt::Display for TelemetrySnapshot {
                 self.replicated
             )?;
         }
-        if self.batch_groups > 0 {
+        if self.vis_analytic() > 0 || self.vis_replicated > 0 {
             write!(
                 f,
-                " | batch {}x{:.0}% split {:.0}% pfx {:.0}",
-                self.batch_groups,
-                100.0 * self.batch_occupancy(),
-                100.0 * self.split_off_rate(),
-                self.mean_lockstep_prefix()
-            )?;
-        }
-        if self.vis_analytic() > 0 || self.vis_replicated > 0 || self.batch_vis_admitted > 0 {
-            write!(
-                f,
-                " | vis lat {} ovw {} sig {} val {} rep {} adm {} opq {}",
+                " | vis lat {} ovw {} sig {} val {} rep {}",
                 self.vis_latent,
                 self.vis_overwritten,
                 self.sig_overwritten,
                 self.value_resolved,
-                self.vis_replicated,
-                self.batch_vis_admitted,
-                self.batch_untraceable
+                self.vis_replicated
             )?;
         }
         if self.sim_instructions > 0 {
@@ -932,13 +816,11 @@ mod tests {
         }
         let probe = Probe::default();
         let w = Workload::algorithm_one();
-        // Def/use pruning and the lockstep batch engine skip
-        // started/injected for analytically classified faults; disable
-        // both so this test keeps documenting the full per-experiment
-        // life cycle.
+        // Def/use pruning skips started/injected for analytically
+        // classified faults; disable it so this test keeps documenting
+        // the full per-experiment life cycle.
         let mut cfg = CampaignConfig::quick(15, 7);
         cfg.prune = false;
-        cfg.batch_width = 0;
         let _ = run_scifi_campaign_observed(&w, &cfg, &probe);
         assert_eq!(probe.sampled.load(Ordering::Relaxed), 15);
         assert_eq!(probe.started.load(Ordering::Relaxed), 15);

@@ -7,32 +7,39 @@
 //! by the golden run's access trace and need no simulation at all. The
 //! planner walks the fault list once against
 //! [`GoldenRun::trace`](crate::experiment::GoldenRun) and decides, per
-//! fault:
+//! fault, with one rule for every one-shot flip model (single, double,
+//! `burst:W`):
 //!
-//! * **first post-injection access is a full-width write** — the faulty
-//!   bit is deposited over with the value the fault-free run computes
-//!   (execution up to that write never observed the flip, so it is
-//!   bit-identical to the golden run): emit [`Outcome::Overwritten`]
-//!   analytically;
-//! * **the unit is never accessed again** — the flip sits untouched until
-//!   the end-of-run state diff and nothing else diverges: emit
-//!   [`Outcome::Latent`] analytically;
-//! * **first post-injection access is a read** — the fault is live. All
-//!   faults in the *same scan bit* whose first visible access is the *same
-//!   read* produce identical faulty trajectories (the machine state at
-//!   that read is the golden state plus the same flip, whichever earlier
-//!   boundary the flip landed at), so one simulated representative per
-//!   equivalence class stands for every member.
+//! 1. each flipped bit maps to a *unit*: its def/use [`TraceUnit`], else
+//!    (with the visibility layer on) its EDM-visibility [`VisUnit`] when a
+//!    flip there stays exactly `golden ⊕ flip` between events; a bit with
+//!    neither makes the whole fault simulate;
+//! 2. each unit's *first golden access* at or after the injection instant
+//!    decides its fate: a full-width write deposits the fault-free value
+//!    over the flip (execution up to that write never observed it), a
+//!    read or partial write observes it, no access leaves it untouched;
+//! 3. **any first access observes** — the fault is live. Let `s` be the
+//!    earliest observing instant: up to `s` the run is golden, and at `s`
+//!    the state is golden plus the flips of the units not yet killed. All
+//!    faults on the same scan bit with the same `s` and the same surviving
+//!    units therefore have identical faulty trajectories from `s` onward,
+//!    so the first of them in list order simulates and the others
+//!    [`PlanAction::Replicate`] it;
+//! 4. **otherwise** the fault is [`Outcome::Latent`] when some unit is
+//!    never accessed again (its flip reaches the end-of-run state diff)
+//!    and [`Outcome::Overwritten`] when every unit is killed.
 //!
-//! Pruning applies only where the trace argument is sound: single-bit
-//! transients (intermittent re-assertions, stuck-at forcing and multi-bit
-//! clusters perturb state after injection — they bypass pruning exactly
-//! like the convergence pruner's quiescence gate), scan bits whose unit
-//! routes every semantic access through a trace hook
-//! ([`BitLocation::trace_unit`] returns `Some`; state the EDMs consult
-//! implicitly is excluded), and campaigns without the parity-protected
-//! cache (the parity checker reads cache data on every access without
-//! being part of the trace).
+//! Single-bit campaigns add two value-level rules the multi-unit rule has
+//! no unit for: signature-register flips are `Overwritten` when a control
+//! transfer zeroes the register before any compare (write-first), and
+//! operand-latch flips resolve by the latch's shift count.
+//!
+//! Pruning applies only where the trace argument is sound: one-shot flip
+//! models (intermittent re-assertions and stuck-at forcing perturb state
+//! after injection — they bypass the planner exactly like the convergence
+//! pruner's quiescence gate), faults injected inside the traced run, and
+//! campaigns without the parity-protected cache (the parity checker reads
+//! cache data on every access without being part of the trace).
 //!
 //! The pruned campaign is provably outcome-equivalent to the unpruned one
 //! (`tests/prune_equivalence.rs`), and `--paranoid N` re-simulates `N`
@@ -42,8 +49,8 @@ use crate::campaign::CampaignConfig;
 use crate::classify::Outcome;
 use crate::experiment::{ExperimentRecord, FaultModel, FaultSpec, GoldenRun, Provenance};
 use bera_tcpu::scan::{self, BitLocation};
-use bera_tcpu::{AccessTrace, Fnv64, VisTrace};
-use std::collections::{BTreeMap, HashMap};
+use bera_tcpu::{Access, AccessTrace, Fnv64, TraceUnit, VisTrace, VisUnit};
+use std::collections::HashMap;
 
 /// The planner's decision for one fault-list index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,11 +78,11 @@ pub struct PlanStats {
     pub defuse_latent: usize,
     /// Analytic `Overwritten` verdicts from the def/use access trace.
     pub defuse_overwritten: usize,
-    /// Analytic `Latent` verdicts from an EDM-visibility window (the
-    /// unit is never sampled again).
+    /// Analytic `Latent` verdicts that needed an EDM-visibility window
+    /// (some flipped unit is never sampled again).
     pub vis_latent: usize,
-    /// Analytic `Overwritten` verdicts from an EDM-visibility window
-    /// (a whole-unit deposit precedes every sample).
+    /// Analytic `Overwritten` verdicts that needed an EDM-visibility
+    /// window (a whole-unit deposit precedes every sample).
     pub vis_overwritten: usize,
     /// Signature-register faults proven `Overwritten` by the write-first
     /// rule (a control transfer zeroes the register before any compare).
@@ -84,7 +91,7 @@ pub struct PlanStats {
     /// (either displaced off the latch or migrated bit-identically).
     pub value_resolved: usize,
     /// Live faults merged into an equivalence class via a visibility
-    /// window rather than the def/use trace.
+    /// window rather than the def/use trace alone.
     pub vis_replicated: usize,
     /// Wall-clock microseconds spent planning (classification only).
     pub plan_micros: u64,
@@ -92,7 +99,7 @@ pub struct PlanStats {
 
 impl PlanStats {
     /// Total analytic verdicts attributable to the visibility/value layer
-    /// (everything PR-4's def/use planner could not classify).
+    /// (everything the def/use trace alone could not classify).
     #[must_use]
     pub fn vis_analytic(&self) -> usize {
         self.vis_latent + self.vis_overwritten + self.sig_overwritten + self.value_resolved
@@ -104,6 +111,8 @@ impl PlanStats {
 #[derive(Debug, Clone)]
 pub struct CampaignPlan {
     actions: Vec<PlanAction>,
+    /// Per index, the `pruned_at` iteration an analytic record carries.
+    pruned_at: Vec<Option<usize>>,
     stats: PlanStats,
 }
 
@@ -113,6 +122,7 @@ impl CampaignPlan {
     pub fn simulate_all(n: usize) -> Self {
         CampaignPlan {
             actions: vec![PlanAction::Simulate; n],
+            pruned_at: vec![None; n],
             stats: PlanStats::default(),
         }
     }
@@ -131,6 +141,20 @@ impl CampaignPlan {
     #[must_use]
     pub fn action(&self, i: usize) -> PlanAction {
         self.actions[i]
+    }
+
+    /// The `pruned_at` metadata of the analytic record of index `i`: for a
+    /// multi-bit `Overwritten` verdict, the first golden checkpoint past
+    /// the last kill — the boundary where a simulation of the fault would
+    /// detect the rejoin and splice the golden tail — and `None` for every
+    /// other verdict.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is outside the planned fault list.
+    #[must_use]
+    pub fn pruned_at(&self, i: usize) -> Option<usize> {
+        self.pruned_at[i]
     }
 
     /// All actions, in fault-list order.
@@ -178,98 +202,24 @@ impl CampaignPlan {
 }
 
 /// `true` when `cfg` is eligible for def/use pruning at all: pruning
-/// enabled, a one-shot single-bit fault model (anything that re-asserts or
-/// clusters perturbs state the trace does not model), and no parity
-/// cache (its checker reads cache data outside the trace hooks).
+/// enabled, a one-shot flip fault model (anything that re-asserts or
+/// forces perturbs state the trace does not model), and no parity cache
+/// (its checker reads cache data outside the trace hooks).
 #[must_use]
 pub fn prune_eligible(cfg: &CampaignConfig) -> bool {
-    cfg.prune && cfg.fault_model == FaultModel::SingleBit && !cfg.loop_cfg.parity_cache
-}
-
-/// `true` when `cfg` may run its plan-`Simulate` faults through the
-/// lockstep batch engine ([`bera_tcpu::BatchMachine`]): batching enabled,
-/// a one-shot flip fault model (re-asserting and stuck-at injectors are
-/// not quiescent, so replicas cannot ride the golden stream), golden
-/// checkpoints available (split-off replicas materialize from them), no
-/// parity cache (its checker observes cache data outside the trace hooks)
-/// and no chaos harness (chaos sabotages *executions* by index; resolving
-/// an index without executing it would dodge the sabotage under test).
-#[must_use]
-pub fn batch_eligible(cfg: &CampaignConfig) -> bool {
-    cfg.batch_width > 0
-        && cfg.loop_cfg.checkpoint_stride > 0
-        && !cfg.loop_cfg.parity_cache
+    cfg.prune
         && matches!(
             cfg.fault_model,
             FaultModel::SingleBit | FaultModel::AdjacentDoubleBit | FaultModel::Burst { .. }
         )
-        && cfg.supervisor.as_ref().is_none_or(|s| s.chaos.is_none())
-}
-
-/// Groups batch-candidate fault indices into lockstep batches: faults
-/// sharing a checkpoint fast-forward window (the same
-/// [`GoldenRun::checkpoint_before`] their injection instant resolves to)
-/// ride the same [`bera_tcpu::BatchMachine`], chunked to at most `width`
-/// replicas per batch. Grouping is deterministic — windows ascend and
-/// fault-list order is preserved within a window — so resumed campaigns
-/// rebuild identical batches.
-#[must_use]
-pub fn batch_groups(
-    candidates: &[usize],
-    faults: &[FaultSpec],
-    golden: &GoldenRun,
-    width: usize,
-) -> Vec<Vec<usize>> {
-    let mut by_window: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for &i in candidates {
-        let window = golden
-            .checkpoint_before(faults[i].inject_at)
-            .map_or(0, |c| c.iteration);
-        by_window.entry(window).or_default().push(i);
-    }
-    by_window
-        .into_values()
-        .flat_map(|group| {
-            group
-                .chunks(width.max(1))
-                .map(<[usize]>::to_vec)
-                .collect::<Vec<_>>()
-        })
-        .collect()
-}
-
-/// Builds the record of a replica the batch engine proved *converged*:
-/// every flipped unit was fully overwritten with its golden value by the
-/// instruction at `killed_at`, without ever being observed. The scalar
-/// path would detect the rejoin at the first golden checkpoint boundary
-/// past `killed_at` and splice the golden tail there; `pruned_at` records
-/// that same boundary (or `None` when no checkpoint boundary follows the
-/// kill — the scalar run would then simply complete in the golden end
-/// state).
-///
-/// # Panics
-///
-/// Panics if `fault.location_index` is outside the scan catalog.
-#[must_use]
-pub fn lockstep_converged_record(
-    fault: FaultSpec,
-    killed_at: u64,
-    golden: &GoldenRun,
-    detail: bool,
-) -> ExperimentRecord {
-    let mut record = analytic_record(fault, Outcome::Overwritten, golden, detail);
-    record.pruned_at = golden
-        .checkpoints
-        .iter()
-        .find(|c| c.machine.instr_count() > killed_at)
-        .map(|c| c.iteration);
-    record
+        && !cfg.loop_cfg.parity_cache
 }
 
 /// Plans the campaign: one [`PlanAction`] per fault of `faults`, derived
-/// from `golden`'s access trace. The plan is a pure function of the fault
-/// list, the configuration and the golden run, so resumed campaigns
-/// recompute the identical plan (and hence identical representatives).
+/// from `golden`'s access traces. The plan is a pure function of the fault
+/// list, the configuration and the golden run, so resumed campaigns and
+/// farm shards recompute the identical plan (and hence identical
+/// representatives).
 ///
 /// # Panics
 ///
@@ -285,193 +235,247 @@ pub fn plan_campaign(
     }
     let started = std::time::Instant::now();
     let catalog = scan::catalog();
-    let vis = cfg.vis.then_some(&golden.vis);
+    let traces = Traces {
+        trace: &golden.trace,
+        vis: cfg.vis.then_some(&golden.vis),
+    };
+    let single_bit = cfg.fault_model == FaultModel::SingleBit;
     let mut stats = PlanStats::default();
-    // Class key: (scan-catalog bit index, position of the first visible
-    // access in the unit's trace slot — def/use or visibility, disjoint
-    // per location). Two faults sharing both flip the same bit and are
-    // first observed by the same read, so their faulty trajectories are
-    // identical from that read onward.
-    let mut class_reps: HashMap<(usize, usize), usize> = HashMap::new();
-    let actions = faults
-        .iter()
-        .enumerate()
-        .map(|(i, fault)| {
-            match classify_fault(
-                &golden.trace,
-                vis,
-                catalog[fault.location_index],
-                fault,
-                golden,
-                &mut stats,
-            ) {
-                TraceVerdict::Opaque => PlanAction::Simulate,
-                TraceVerdict::Analytic(outcome) => PlanAction::Analytic(outcome),
-                TraceVerdict::Live {
-                    first_access,
-                    via_vis,
-                } => match class_reps.entry((fault.location_index, first_access)) {
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        if via_vis {
-                            stats.vis_replicated += 1;
-                        }
-                        PlanAction::Replicate {
-                            representative: *e.get(),
-                        }
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(i);
-                        PlanAction::Simulate
-                    }
-                },
+    let mut pruned_at = vec![None; faults.len()];
+    let mut class_reps: HashMap<ClassKey, usize> = HashMap::new();
+    let mut actions = Vec::with_capacity(faults.len());
+    for (i, fault) in faults.iter().enumerate() {
+        let flips: Vec<BitLocation> = cfg
+            .fault_model
+            .locations(fault.location_index)
+            .into_iter()
+            .map(|j| catalog[j])
+            .collect();
+        let verdict = if fault.inject_at >= golden.total_instructions {
+            // A fault scheduled at or past the end of the run is never
+            // injected (the drive loop completes first); no trace says
+            // anything about it.
+            Verdict::Opaque
+        } else if single_bit {
+            single_bit_rules(traces.vis, flips[0], fault.inject_at, &mut stats)
+                .unwrap_or_else(|| traces.classify(&flips, fault.inject_at, &mut stats))
+        } else {
+            traces.classify(&flips, fault.inject_at, &mut stats)
+        };
+        actions.push(match verdict {
+            Verdict::Opaque => PlanAction::Simulate,
+            Verdict::Analytic(outcome) => PlanAction::Analytic(outcome),
+            Verdict::Killed { last_kill } => {
+                if !single_bit {
+                    pruned_at[i] = golden
+                        .checkpoints
+                        .iter()
+                        .find(|c| c.machine.instr_count() > last_kill)
+                        .map(|c| c.iteration);
+                }
+                PlanAction::Analytic(Outcome::Overwritten)
             }
-        })
-        .collect();
+            Verdict::Live {
+                observed_at,
+                surviving,
+                via_vis,
+            } => match class_reps.entry((fault.location_index, observed_at, surviving)) {
+                std::collections::hash_map::Entry::Occupied(e) => {
+                    if via_vis {
+                        stats.vis_replicated += 1;
+                    }
+                    PlanAction::Replicate {
+                        representative: *e.get(),
+                    }
+                }
+                std::collections::hash_map::Entry::Vacant(e) => {
+                    e.insert(i);
+                    PlanAction::Simulate
+                }
+            },
+        });
+    }
     stats.plan_micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-    CampaignPlan { actions, stats }
+    CampaignPlan {
+        actions,
+        pruned_at,
+        stats,
+    }
 }
 
-/// What the golden traces say about one single-bit fault.
-enum TraceVerdict {
-    /// The faulted unit is not fully covered by any trace (or the
-    /// injection time falls outside the traced run): simulate.
+/// Equivalence-class key of a live fault: (scan-catalog bit index, first
+/// observing instant, dense indices of the units still flipped there).
+type ClassKey = (usize, u64, Vec<usize>);
+
+/// What the golden traces say about one fault.
+#[derive(Debug, PartialEq, Eq)]
+enum Verdict {
+    /// Some flipped bit is covered by no trace (or the injection time
+    /// falls outside the traced run): simulate.
     Opaque,
     /// The outcome follows from the traces alone.
     Analytic(Outcome),
-    /// The fault is live: first observed by the read at this position of
-    /// the unit's trace slot.
+    /// Every flipped unit is fully overwritten before anything observes
+    /// it; the last kill lands at instruction `last_kill`.
+    Killed { last_kill: u64 },
+    /// The fault is live: first observed at instruction `observed_at`,
+    /// with the units of `surviving` (dense indices) still flipped there.
     Live {
-        first_access: usize,
-        /// The observation came from a visibility window (telemetry only).
+        observed_at: u64,
+        surviving: Vec<usize>,
+        /// The observation involved a visibility window (telemetry only).
         via_vis: bool,
     },
 }
 
-/// Classifies one fault against the def/use access trace first, then —
-/// when `vis` is supplied — against the EDM-visibility trace and the
-/// value-level rules for the remaining opaque state.
-fn classify_fault(
-    trace: &AccessTrace,
-    vis: Option<&VisTrace>,
-    location: BitLocation,
-    fault: &FaultSpec,
-    golden: &GoldenRun,
-    stats: &mut PlanStats,
-) -> TraceVerdict {
-    // A fault scheduled at or past the end of the run is never injected
-    // (the drive loop completes first); no trace says anything about it.
-    if fault.inject_at >= golden.total_instructions {
-        return TraceVerdict::Opaque;
-    }
-    if let Some(unit) = location.trace_unit() {
-        let slot = trace.accesses(unit);
-        let first = slot.partition_point(|a| a.at < fault.inject_at);
-        return match slot.get(first) {
-            // Never accessed again: the flip survives untouched to the
-            // end-of-run scan diff, and nothing else ever diverges.
-            None => {
-                stats.defuse_latent += 1;
-                TraceVerdict::Analytic(Outcome::Latent)
-            }
-            // Overwritten with the golden value before anything read it.
-            Some(a) if a.kind.is_full_write() => {
-                stats.defuse_overwritten += 1;
-                TraceVerdict::Analytic(Outcome::Overwritten)
-            }
-            // A read (or a partial write, treated conservatively as a use
-            // by classing on the access position): the fault is live.
-            Some(_) => TraceVerdict::Live {
-                first_access: first,
-                via_vis: false,
-            },
-        };
-    }
-    let Some(vis) = vis else {
-        return TraceVerdict::Opaque;
-    };
-    classify_from_vis(vis, location, fault, stats)
+/// A flipped bit's unit in the golden traces.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Unit {
+    Trace(TraceUnit),
+    Vis(VisUnit),
 }
 
-/// The visibility-window and value-level rules for a bit the def/use
-/// trace cannot see. Soundness arguments in DESIGN.md §8h and the
-/// [`bera_tcpu::vis`] module docs.
-fn classify_from_vis(
-    vis: &VisTrace,
-    location: BitLocation,
-    fault: &FaultSpec,
-    stats: &mut PlanStats,
-) -> TraceVerdict {
-    // Value-level rules for the operand latch, a two-slot shift register
-    // (`a ← b`, `b ← clean value` on every register read). A flip in
-    // slot A is deposited over by the first shift; a flip in slot B
-    // migrates — bit-identically — into slot A on the first shift and is
-    // deposited over by the second. Nothing ever reads the latch, so an
-    // undisplaced flip is exactly a latent end-of-run scan diff.
-    match location {
-        BitLocation::OperandA { .. } => {
-            stats.value_resolved += 1;
-            let shifts = vis.shifts_at_or_after(fault.inject_at);
-            return TraceVerdict::Analytic(if shifts >= 1 {
-                Outcome::Overwritten
-            } else {
-                Outcome::Latent
-            });
+impl Unit {
+    /// Dense index over both trace spaces (visibility units follow the
+    /// def/use units), for class keys.
+    fn index(self) -> usize {
+        match self {
+            Unit::Trace(u) => u.index(),
+            Unit::Vis(u) => TraceUnit::COUNT + u.index(),
         }
-        BitLocation::OperandB { .. } => {
-            stats.value_resolved += 1;
-            let shifts = vis.shifts_at_or_after(fault.inject_at);
-            return TraceVerdict::Analytic(if shifts >= 2 {
-                Outcome::Overwritten
-            } else {
-                Outcome::Latent
-            });
-        }
-        _ => {}
     }
-    let Some(unit) = location.vis_unit() else {
-        // The fetch-latch valid bit: consulted every instruction, no
-        // window exists — permanently opaque.
-        return TraceVerdict::Opaque;
-    };
-    let slot = vis.accesses(unit);
-    let first = slot.partition_point(|a| a.at < fault.inject_at);
-    if unit == bera_tcpu::VisUnit::Sig {
-        // The signature register is folded (read-modify-written) by every
-        // executed instruction, so `golden ⊕ flip` stops describing the
-        // faulty value immediately: neither a latent claim (folding may
-        // or may not re-converge) nor class merging is sound. The one
-        // sound rule is write-first: a control transfer zeroes the
-        // register — value-independently — before any compare samples it.
-        return match slot.get(first) {
-            Some(a) if a.kind.is_full_write() => {
-                stats.sig_overwritten += 1;
-                TraceVerdict::Analytic(Outcome::Overwritten)
+}
+
+/// The golden traces the multi-unit rule reads: the def/use trace always,
+/// the EDM-visibility trace when that layer is on.
+#[derive(Clone, Copy)]
+struct Traces<'a> {
+    trace: &'a AccessTrace,
+    vis: Option<&'a VisTrace>,
+}
+
+impl Traces<'_> {
+    /// The unit carrying a flip of `bit`: its def/use unit, else a
+    /// visibility unit exact between events, else `None`.
+    fn unit_of(&self, bit: BitLocation) -> Option<Unit> {
+        if let Some(u) = bit.trace_unit() {
+            return Some(Unit::Trace(u));
+        }
+        self.vis?;
+        bit.vis_unit()
+            .filter(VisUnit::exact_between_events)
+            .map(Unit::Vis)
+    }
+
+    /// The first golden event of `unit` at or after `inject_at`.
+    fn first_access(&self, unit: Unit, inject_at: u64) -> Option<Access> {
+        match unit {
+            Unit::Trace(u) => self.trace.first_at_or_after(u, inject_at),
+            Unit::Vis(u) => self.vis.and_then(|v| v.first_at_or_after(u, inject_at)),
+        }
+    }
+
+    /// The multi-unit def/use rule (module docs, steps 1–4) for the flips
+    /// of one fault injected at `inject_at`.
+    fn classify(&self, flips: &[BitLocation], inject_at: u64, stats: &mut PlanStats) -> Verdict {
+        let mut units: Vec<(Unit, Option<Access>)> = Vec::with_capacity(flips.len());
+        for &bit in flips {
+            let Some(unit) = self.unit_of(bit) else {
+                return Verdict::Opaque;
+            };
+            if units.iter().all(|&(u, _)| u != unit) {
+                units.push((unit, self.first_access(unit, inject_at)));
             }
-            _ => TraceVerdict::Opaque,
+        }
+        let via_vis = units.iter().any(|(u, _)| matches!(u, Unit::Vis(_)));
+        // Intra-instruction order is preserved per unit, so a unit whose
+        // first access is a full write is killed even when another unit
+        // is read at the same instant — and vice versa.
+        let observed_at = units
+            .iter()
+            .filter_map(|(_, first)| first.filter(|a| !a.kind.is_full_write()))
+            .map(|a| a.at)
+            .min();
+        if let Some(observed_at) = observed_at {
+            let surviving = units
+                .iter()
+                .filter(|(_, first)| first.is_none_or(|a| a.at >= observed_at))
+                .map(|(u, _)| u.index())
+                .collect();
+            return Verdict::Live {
+                observed_at,
+                surviving,
+                via_vis,
+            };
+        }
+        // Every first access is a kill; `None` when some unit has none.
+        let last_kill = units
+            .iter()
+            .try_fold(0, |last, (_, first)| Some(first.as_ref()?.at.max(last)));
+        let (latent, overwritten) = if via_vis {
+            (&mut stats.vis_latent, &mut stats.vis_overwritten)
+        } else {
+            (&mut stats.defuse_latent, &mut stats.defuse_overwritten)
         };
+        match last_kill {
+            Some(last_kill) => {
+                *overwritten += 1;
+                Verdict::Killed { last_kill }
+            }
+            None => {
+                *latent += 1;
+                Verdict::Analytic(Outcome::Latent)
+            }
+        }
     }
-    match slot.get(first) {
-        // No asynchronous observer ever samples the unit again: the flip
-        // survives untouched to the end-of-run scan diff.
-        None => {
-            stats.vis_latent += 1;
-            TraceVerdict::Analytic(Outcome::Latent)
+}
+
+/// The value-level rules for single-bit flips the multi-unit rule has no
+/// unit for (needs the visibility trace). `None` hands the bit on to the
+/// multi-unit rule. Soundness arguments in DESIGN.md §8h and the
+/// [`bera_tcpu::vis`] module docs.
+fn single_bit_rules(
+    vis: Option<&VisTrace>,
+    location: BitLocation,
+    inject_at: u64,
+    stats: &mut PlanStats,
+) -> Option<Verdict> {
+    let vis = vis?;
+    // The operand latch is a two-slot shift register (`a ← b`,
+    // `b ← clean value` on every register read). A flip in slot A is
+    // deposited over by the first shift; a flip in slot B migrates —
+    // bit-identically — into slot A on the first shift and is deposited
+    // over by the second. Nothing ever reads the latch, so an undisplaced
+    // flip is exactly a latent end-of-run scan diff.
+    let shifts_needed = match location {
+        BitLocation::OperandA { .. } => 1,
+        BitLocation::OperandB { .. } => 2,
+        BitLocation::SigReg { .. } => {
+            // The signature register is folded (read-modify-written) by
+            // every executed instruction, so `golden ⊕ flip` stops
+            // describing the faulty value immediately: neither a latent
+            // claim (folding may or may not re-converge) nor class merging
+            // is sound. The one sound rule is write-first: a control
+            // transfer zeroes the register — value-independently — before
+            // any compare samples it.
+            return Some(match vis.first_at_or_after(VisUnit::Sig, inject_at) {
+                Some(a) if a.kind.is_full_write() => {
+                    stats.sig_overwritten += 1;
+                    Verdict::Analytic(Outcome::Overwritten)
+                }
+                _ => Verdict::Opaque,
+            });
         }
-        // A whole-unit deposit (line fill, store, cmp, control transfer,
-        // trap bookkeeping) lands before any sample: the flip is erased
-        // with clean inputs.
-        Some(a) if a.kind.is_full_write() => {
-            stats.vis_overwritten += 1;
-            TraceVerdict::Analytic(Outcome::Overwritten)
-        }
-        // Sampled: live, and mergeable on the sampling position exactly
-        // like a def/use read (the unit is untouched between injection
-        // and the sample, so every member reaches it as golden ⊕ flip).
-        Some(_) => TraceVerdict::Live {
-            first_access: first,
-            via_vis: true,
+        _ => return None,
+    };
+    stats.value_resolved += 1;
+    Some(Verdict::Analytic(
+        if vis.shifts_at_or_after(inject_at) >= shifts_needed {
+            Outcome::Overwritten
+        } else {
+            Outcome::Latent
         },
-    }
+    ))
 }
 
 /// Builds the record of an analytically classified fault. Matches what a
@@ -599,7 +603,7 @@ mod tests {
     use crate::campaign::CampaignConfig;
     use crate::experiment::golden_run;
     use crate::workload::Workload;
-    use bera_tcpu::{Access, AccessKind};
+    use bera_tcpu::AccessKind;
 
     fn quick_plan_inputs() -> (CampaignConfig, GoldenRun, Vec<FaultSpec>) {
         let w = Workload::algorithm_one();
@@ -918,6 +922,257 @@ mod tests {
             &golden,
         );
         assert_eq!(plan.action(0), PlanAction::Simulate);
+    }
+
+    // --- The multi-unit rule on synthetic traces -------------------------
+
+    const REG3_BIT: BitLocation = BitLocation::Reg { index: 3, bit: 5 };
+    const REG4_BIT: BitLocation = BitLocation::Reg { index: 4, bit: 0 };
+    const PSR1_BIT: BitLocation = BitLocation::Psr { bit: 1 };
+    const REG3: Unit = Unit::Trace(TraceUnit::Reg(3));
+    const REG4: Unit = Unit::Trace(TraceUnit::Reg(4));
+    const PSR1: Unit = Unit::Vis(VisUnit::Psr(1));
+
+    fn trace_with(entries: &[(TraceUnit, u64, AccessKind)]) -> AccessTrace {
+        let mut t = AccessTrace::new();
+        for &(u, at, kind) in entries {
+            t.record(u, at, kind);
+        }
+        t
+    }
+
+    fn verdict(
+        trace: &AccessTrace,
+        vis: Option<&VisTrace>,
+        flips: &[BitLocation],
+        inject_at: u64,
+    ) -> Verdict {
+        Traces { trace, vis }.classify(flips, inject_at, &mut PlanStats::default())
+    }
+
+    fn live(observed_at: u64, surviving: &[Unit]) -> Verdict {
+        Verdict::Live {
+            observed_at,
+            surviving: surviving.iter().map(|u| u.index()).collect(),
+            via_vis: false,
+        }
+    }
+
+    #[test]
+    fn read_then_write_at_one_instant_is_live() {
+        // Intra-instruction order: the read observes the flip before the
+        // write lands — e.g. `add r3, r3, r0`.
+        let t = trace_with(&[
+            (TraceUnit::Reg(3), 10, AccessKind::Read),
+            (TraceUnit::Reg(3), 10, AccessKind::Write),
+        ]);
+        assert_eq!(verdict(&t, None, &[REG3_BIT], 5), live(10, &[REG3]));
+    }
+
+    #[test]
+    fn write_then_read_at_one_instant_kills() {
+        // The full write lands first (from clean inputs), so the read at
+        // the same instant observes the golden value.
+        let t = trace_with(&[
+            (TraceUnit::Reg(3), 10, AccessKind::Write),
+            (TraceUnit::Reg(3), 10, AccessKind::Read),
+        ]);
+        assert_eq!(
+            verdict(&t, None, &[REG3_BIT], 5),
+            Verdict::Killed { last_kill: 10 }
+        );
+    }
+
+    #[test]
+    fn a_kill_and_a_live_touch_at_one_instant_is_live() {
+        // One instruction fully writes r3 but reads r4: the r4 flip is
+        // observed, and the r3 flip is still in place at that instant.
+        let t = trace_with(&[
+            (TraceUnit::Reg(3), 10, AccessKind::Write),
+            (TraceUnit::Reg(4), 10, AccessKind::Read),
+        ]);
+        assert_eq!(
+            verdict(&t, None, &[REG3_BIT, REG4_BIT], 5),
+            live(10, &[REG3, REG4])
+        );
+    }
+
+    #[test]
+    fn a_partial_write_is_a_use() {
+        let t = trace_with(&[(TraceUnit::Reg(3), 10, AccessKind::PartialWrite)]);
+        assert_eq!(verdict(&t, None, &[REG3_BIT], 5), live(10, &[REG3]));
+        // In a multi-unit set too: a later full write of the other unit
+        // does not turn the set into an overwritten one.
+        let t = trace_with(&[
+            (TraceUnit::Reg(3), 10, AccessKind::PartialWrite),
+            (TraceUnit::Reg(4), 20, AccessKind::Write),
+        ]);
+        assert_eq!(
+            verdict(&t, None, &[REG3_BIT, REG4_BIT], 5),
+            live(10, &[REG3, REG4])
+        );
+    }
+
+    #[test]
+    fn the_surviving_set_shrinks_before_a_split() {
+        // r3's flip is killed at 10; only r4's is still in place when r4
+        // is read at 30, so the class key names r4 alone.
+        let t = trace_with(&[
+            (TraceUnit::Reg(3), 10, AccessKind::Write),
+            (TraceUnit::Reg(4), 30, AccessKind::Read),
+        ]);
+        assert_eq!(
+            verdict(&t, None, &[REG3_BIT, REG4_BIT], 5),
+            live(30, &[REG4])
+        );
+    }
+
+    #[test]
+    fn a_multi_unit_set_is_overwritten_at_its_last_kill_or_latent() {
+        let t = trace_with(&[
+            (TraceUnit::Reg(3), 10, AccessKind::Write),
+            (TraceUnit::Reg(4), 30, AccessKind::Write),
+        ]);
+        assert_eq!(
+            verdict(&t, None, &[REG3_BIT, REG4_BIT], 5),
+            Verdict::Killed { last_kill: 30 }
+        );
+        // Past r4's kill nothing touches r4 again: its flip reaches the
+        // end-of-run state diff although r3's is killed.
+        let t = trace_with(&[(TraceUnit::Reg(3), 10, AccessKind::Write)]);
+        assert_eq!(
+            verdict(&t, None, &[REG3_BIT, REG4_BIT], 5),
+            Verdict::Analytic(Outcome::Latent)
+        );
+    }
+
+    #[test]
+    fn a_mixed_trace_and_vis_set_needs_both_units_killed() {
+        let t = trace_with(&[(TraceUnit::Reg(3), 10, AccessKind::Write)]);
+        // The PSR flag is consulted at 30: live, keyed on the flag alone.
+        let mut v = VisTrace::new();
+        v.record(VisUnit::Psr(1), 30, AccessKind::Read);
+        assert_eq!(
+            verdict(&t, Some(&v), &[REG3_BIT, PSR1_BIT], 5),
+            Verdict::Live {
+                observed_at: 30,
+                surviving: vec![PSR1.index()],
+                via_vis: true,
+            }
+        );
+        // A cmp deposits the flag at 30 instead: both units are killed.
+        let mut v = VisTrace::new();
+        v.record(VisUnit::Psr(1), 30, AccessKind::Write);
+        assert_eq!(
+            verdict(&t, Some(&v), &[REG3_BIT, PSR1_BIT], 5),
+            Verdict::Killed { last_kill: 30 }
+        );
+        // Without the visibility layer the flag has no unit at all.
+        assert_eq!(verdict(&t, None, &[REG3_BIT, PSR1_BIT], 5), Verdict::Opaque);
+    }
+
+    #[test]
+    fn vis_units_resolve_from_the_vis_trace() {
+        // Golden: cmp deposits the flag at 10, a beq consults it at 20.
+        let t = AccessTrace::new();
+        let mut v = VisTrace::new();
+        v.record(VisUnit::Psr(1), 10, AccessKind::Write);
+        v.record(VisUnit::Psr(1), 20, AccessKind::Read);
+        assert_eq!(
+            verdict(&t, Some(&v), &[PSR1_BIT], 5),
+            Verdict::Killed { last_kill: 10 }
+        );
+        assert!(matches!(
+            verdict(&t, Some(&v), &[PSR1_BIT], 15),
+            Verdict::Live {
+                observed_at: 20,
+                ..
+            }
+        ));
+        assert_eq!(
+            verdict(&t, Some(&v), &[PSR1_BIT], 21),
+            Verdict::Analytic(Outcome::Latent)
+        );
+    }
+
+    #[test]
+    fn multi_bit_sets_touching_sig_the_operand_latch_or_fetch_valid_simulate() {
+        let t = AccessTrace::new();
+        let v = VisTrace::new();
+        for opaque in [
+            BitLocation::SigReg { bit: 2 },
+            BitLocation::OperandA { bit: 0 },
+            BitLocation::OperandB { bit: 0 },
+            BitLocation::FetchValid,
+        ] {
+            assert_eq!(
+                verdict(&t, Some(&v), &[REG3_BIT, opaque], 5),
+                Verdict::Opaque,
+                "{opaque:?}"
+            );
+        }
+
+        // End to end: the write-first rule proves a single-bit signature
+        // flip overwritten, but a double-bit flip over the same bits
+        // simulates.
+        let (mut cfg, golden, _) = quick_plan_inputs();
+        let sig = catalog_index(|l| matches!(l, BitLocation::SigReg { bit: 3 }));
+        let sig_slot = golden.vis.accesses(VisUnit::Sig);
+        let first_write = sig_slot
+            .iter()
+            .enumerate()
+            .find(|(i, a)| a.kind.is_full_write() && (*i == 0 || sig_slot[i - 1].at < a.at))
+            .expect("some transfer zeroes the signature")
+            .1
+            .at;
+        let fault = [FaultSpec {
+            location_index: sig,
+            inject_at: first_write,
+        }];
+        let plan = plan_campaign(&fault, &cfg, &golden);
+        assert_eq!(plan.action(0), PlanAction::Analytic(Outcome::Overwritten));
+        cfg.fault_model = FaultModel::AdjacentDoubleBit;
+        let plan = plan_campaign(&fault, &cfg, &golden);
+        assert_eq!(plan.action(0), PlanAction::Simulate);
+    }
+
+    #[test]
+    fn multi_bit_faults_plan_with_pruned_at_and_merge_classes() {
+        let (mut cfg, mut golden, _) = quick_plan_inputs();
+        cfg.fault_model = FaultModel::AdjacentDoubleBit;
+        // Reg 3 bits 5 and 6: one unit, written at 100 and read at 300.
+        let r3 = catalog_index(|l| *l == REG3_BIT);
+        golden.trace = trace_with(&[
+            (TraceUnit::Reg(3), 100, AccessKind::Write),
+            (TraceUnit::Reg(3), 300, AccessKind::Read),
+        ]);
+        let at = |inject_at| FaultSpec {
+            location_index: r3,
+            inject_at,
+        };
+        let faults = [at(50), at(150), at(250), at(301)];
+        let plan = plan_campaign(&faults, &cfg, &golden);
+        assert_eq!(plan.action(0), PlanAction::Analytic(Outcome::Overwritten));
+        assert_eq!(plan.action(1), PlanAction::Simulate);
+        assert_eq!(plan.action(2), PlanAction::Replicate { representative: 1 });
+        assert_eq!(plan.action(3), PlanAction::Analytic(Outcome::Latent));
+        // A multi-bit kill carries the checkpoint a simulation would
+        // splice at; no other verdict carries one.
+        let splice = golden
+            .checkpoints
+            .iter()
+            .find(|c| c.machine.instr_count() > 100)
+            .map(|c| c.iteration);
+        assert!(splice.is_some(), "the quick run captures checkpoints");
+        assert_eq!(plan.pruned_at(0), splice);
+        assert_eq!(plan.pruned_at(3), None);
+
+        // The single-bit model classifies the same way but keeps no
+        // `pruned_at`.
+        cfg.fault_model = FaultModel::SingleBit;
+        let plan = plan_campaign(&faults, &cfg, &golden);
+        assert_eq!(plan.action(0), PlanAction::Analytic(Outcome::Overwritten));
+        assert_eq!(plan.pruned_at(0), None);
     }
 
     #[test]

@@ -36,8 +36,8 @@ use std::sync::Arc;
 /// is handled by construction: a changed word simply misses and decodes
 /// fresh. The table is pre-populated for the whole ROM image at
 /// [`Machine::load_program`] and shared between clones through an `Arc`,
-/// so every machine cloned from a loaded one — checkpoints, lockstep
-/// replicas, convergence probes — starts warm without re-decoding or
+/// so every machine cloned from a loaded one — checkpoints, experiment
+/// machines, convergence probes — starts warm without re-decoding or
 /// re-allocating; a post-load ROM change copies-on-write through
 /// `Arc::make_mut`. Behaviourally inert: equality ignores it and it
 /// serializes as `null` and deserializes empty.
@@ -816,30 +816,6 @@ impl Machine {
             && self.parity_cache == other.parity_cache
             && self.shadow == other.shadow
             && self.mem == other.mem
-    }
-
-    /// Equality restricted to the given trace units — the dirty-set
-    /// divergence check of the lockstep batch engine. Where a replica is
-    /// known (from the golden access trace) to differ from golden *at most*
-    /// on its delta units, comparing those units alone replaces the full
-    /// `state_equals` walk over every register, cache line, and memory
-    /// word. This is **not** architectural equality: units outside `units`
-    /// are not examined.
-    #[must_use]
-    pub fn state_equals_on(&self, other: &Machine, units: &[TraceUnit]) -> bool {
-        units.iter().all(|unit| match *unit {
-            TraceUnit::Reg(r) => self.regs[r as usize & 0xF] == other.regs[r as usize & 0xF],
-            TraceUnit::CacheWord { line, word } => {
-                let range = word * 4..word * 4 + 4;
-                self.cache.line(line).data[range.clone()] == other.cache.line(line).data[range]
-            }
-            TraceUnit::PortOut(p) => self.ports_out[p as usize] == other.ports_out[p as usize],
-            TraceUnit::Save(i) => self.save[i as usize] == other.save[i as usize],
-            TraceUnit::MemWord(key) => match mem::key_addr(key) {
-                Some(addr) => self.mem.read_word(addr) == other.mem.read_word(addr),
-                None => true,
-            },
-        })
     }
 
     /// Host-side write of a data word (campaign initialisation).

@@ -96,8 +96,7 @@ impl BitLocation {
     /// *not* traceable by the def/use trace. Most such bits are still
     /// covered analytically by the coarser EDM-visibility trace — see
     /// [`BitLocation::vis_unit`]; only the few bits where *that* returns
-    /// `None` too (or whose unit is not batch-inert) must always be
-    /// simulated.
+    /// `None` too must always be simulated.
     ///
     /// A location is traceable only if **every** semantic access to it
     /// flows through an explicit trace hook. That holds for the register

@@ -5,9 +5,9 @@
 //! words, ports, save slots, memory words. Everything else — PC, PSR,
 //! signature register, pipeline latches, cache tags/flags, the store/fill
 //! buffers, stack bounds, EDAC syndrome — is consulted *asynchronously*
-//! by the pipeline and the error detection mechanisms, so PR-4's planner
-//! and PR-5's lockstep batch engine had to simulate every fault landing
-//! there (~28 % of multi-bit candidates).
+//! by the pipeline and the error detection mechanisms, so a planner
+//! reasoning over the def/use trace alone has to simulate every fault
+//! landing there.
 //!
 //! This module closes most of that gap with a second, coarser trace: the
 //! golden run records, per [`VisUnit`], the **visibility windows** in
@@ -40,15 +40,16 @@
 //! *latent*; one whose first event is a full-width deposit is
 //! *overwritten* — exactly the def/use argument, transplanted to the
 //! asynchronous observers. Units for which the golden-value-⊕-flip
-//! representation stays exact between events ([`VisUnit::batch_inert`])
-//! are additionally admissible to the lockstep batch engine, which
-//! widens `batch_eligible` to the previously rejected population.
+//! representation stays exact between events
+//! ([`VisUnit::exact_between_events`]) may also carry one flip of a
+//! multi-bit fault in the planner's multi-unit rule.
 //!
 //! Two state elements remain opaque by design: the fetch-latch valid bit
 //! (consulted every instruction to decide whether to fetch — no window
 //! exists) and the operand latch (a shift register whose flips *migrate*
-//! between its two slots; the planner resolves those with the value-level
-//! shift count recorded in [`VisTrace::shifts`], but they never batch).
+//! between its two slots; the planner resolves single-bit flips there
+//! with the value-level shift count recorded in [`VisTrace::shifts`], and
+//! multi-bit faults touching it simulate).
 
 use crate::access::{Access, AccessKind};
 use crate::cache;
@@ -63,10 +64,10 @@ pub enum VisUnit {
     /// One bit of the processor status register (bits are independently
     /// read and written: branches consult exactly one or two of them).
     Psr(u8),
-    /// The control-flow signature register. **Not** batch-inert: the
-    /// per-instruction signature folding evolves a flipped value, so
+    /// The control-flow signature register. **Not** exact between events:
+    /// the per-instruction signature folding evolves a flipped value, so
     /// `golden ⊕ flip` stops describing the faulty state after one
-    /// instruction. Planner-only, and only the write-first rule is sound.
+    /// instruction. Only the single-bit write-first rule is sound.
     Sig,
     /// The fetch-latch instruction word.
     FetchWord,
@@ -126,14 +127,14 @@ impl VisUnit {
     }
 
     /// `true` when a flip in this unit stays exactly `golden ⊕ flip`
-    /// between recorded events, so the lockstep batch engine may carry it
-    /// as a copy-on-write delta and [`crate::machine::Machine::scan_flip`]
-    /// rematerializes it faithfully. Everything except the signature
-    /// register qualifies: between events nothing reads these units *and*
-    /// nothing rewrites them in place, whereas the signature register is
-    /// folded (read-modify-written) by every executed instruction.
+    /// between recorded events, so first-access reasoning over the
+    /// window holds for it as one unit of a multi-bit fault. Everything
+    /// except the signature register qualifies: between events nothing
+    /// reads these units *and* nothing rewrites them in place, whereas the
+    /// signature register is folded (read-modify-written) by every
+    /// executed instruction.
     #[must_use]
-    pub fn batch_inert(&self) -> bool {
+    pub fn exact_between_events(&self) -> bool {
         !matches!(self, VisUnit::Sig)
     }
 }
@@ -361,11 +362,11 @@ mod tests {
     }
 
     #[test]
-    fn only_the_signature_register_is_batch_opaque() {
+    fn only_the_signature_register_is_inexact_between_events() {
         for &loc in scan::catalog() {
             if let Some(u) = loc.vis_unit() {
                 assert_eq!(
-                    u.batch_inert(),
+                    u.exact_between_events(),
                     !matches!(loc, BitLocation::SigReg { .. }),
                     "{loc:?}"
                 );

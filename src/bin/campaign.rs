@@ -6,7 +6,7 @@
 //!          [--parity-cache] [--checkpoint-stride K]
 //!          [--fault-model single|double|intermittent:N|stuck0|stuck1|burst:W]
 //!          [--deadline SECS] [--unsupervised] [--no-prune] [--paranoid N]
-//!          [--batch-width W] [--no-batch] [--no-vis]
+//!          [--no-vis]
 //!          [--json FILE] [--out FILE] [--resume] [--progress]
 //!          [--failpoint id=action[@N]]...
 //! campaign --farm-init DIR [--shards N] [--lease-heartbeat-ms MS]
@@ -27,30 +27,23 @@
 //! quarantined as harness failures rather than aborting the campaign.
 //! `--unsupervised` disables the containment as a debugging aid.
 //!
-//! Single-bit campaigns prune the fault space from the golden run's
-//! def/use access trace by default (`DESIGN.md` § 8e): faults whose
-//! target is overwritten before any read, or never accessed again, are
-//! classified analytically, and faults sharing a first-read site run one
-//! representative simulation. Bits the def/use trace cannot see are
-//! classified from the golden run's EDM-visibility windows and value-level
-//! rules (`DESIGN.md` § 8h) unless `--no-vis` turns that layer off.
-//! `--no-prune` simulates every fault; `--paranoid N` re-simulates up to
-//! N replicated class members per equivalence class and panics if any
-//! disagrees with its representative.
+//! Flip-model campaigns (single, double, `burst:W`) prune the fault space
+//! from the golden run's def/use access trace by default (`DESIGN.md`
+//! § 8e, § 8f): faults whose flipped state is overwritten before any read,
+//! or never accessed again, are classified analytically, and faults
+//! sharing a first-read site run one representative simulation. Bits the
+//! def/use trace cannot see are classified from the golden run's
+//! EDM-visibility windows and value-level rules (`DESIGN.md` § 8h) unless
+//! `--no-vis` turns that layer off. `--no-prune` simulates every fault;
+//! `--paranoid N` re-simulates up to N replicated class members per
+//! equivalence class, panics if any disagrees with its representative,
+//! and fails the run if it audited no record at all.
 //!
 //! Builds carrying the `failpoints` feature accept `--failpoint
 //! id=action[@N]` (repeatable) to arm deterministic crash/error/panic/
 //! delay injection at the campaign plane's durability boundaries — the
 //! manual-repro face of the crash-recovery assurance suite
 //! (`ASSURANCE.md`, `tests/crash_recovery.rs`).
-//!
-//! Flip-model campaigns additionally run the lockstep batch engine
-//! (`DESIGN.md` § 8f): plan survivors sharing a checkpoint window walk the
-//! golden access trace together as copy-on-write deltas, classifying
-//! replicas that never diverge without executing a single instruction and
-//! materializing the rest at their divergence instant. `--batch-width W`
-//! sizes the replica groups; `--no-batch` forces the scalar path.
-//! Outcomes are bit-identical either way.
 
 use bera::goofi::campaign::{prepare_campaign, CampaignConfig};
 use bera::goofi::experiment::{ExperimentRecord, FaultModel, LoopConfig};
@@ -62,6 +55,7 @@ use bera::goofi::table::tabulate;
 use bera::goofi::workload::Workload;
 use std::path::Path;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -79,7 +73,6 @@ struct Args {
     no_prune: bool,
     no_vis: bool,
     paranoid: usize,
-    batch_width: usize,
     json: Option<String>,
     out: Option<String>,
     resume: bool,
@@ -111,7 +104,6 @@ fn parse_args() -> Result<Args, String> {
         no_prune: false,
         no_vis: false,
         paranoid: 0,
-        batch_width: CampaignConfig::paper(1, 0).batch_width,
         json: None,
         out: None,
         resume: false,
@@ -185,12 +177,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--paranoid: {e}"))?;
             }
-            "--batch-width" => {
-                args.batch_width = value("--batch-width")?
-                    .parse()
-                    .map_err(|e| format!("--batch-width: {e}"))?;
-            }
-            "--no-batch" => args.batch_width = 0,
             "--json" => args.json = Some(value("--json")?),
             "--out" => args.out = Some(value("--out")?),
             "--resume" => args.resume = true,
@@ -277,7 +263,7 @@ fn usage() {
          \t[--parity-cache] [--checkpoint-stride K]\n\
          \t[--fault-model single|double|intermittent:N|stuck0|stuck1|burst:W]\n\
          \t[--deadline SECS] [--unsupervised] [--no-prune] [--paranoid N]\n\
-         \t[--batch-width W] [--no-batch]\n\
+         \t[--no-vis]\n\
          \t[--json FILE] [--out FILE] [--resume] [--progress]\n\
          \n\
          --checkpoint-stride K  capture a golden checkpoint every K iterations\n\
@@ -292,15 +278,12 @@ fn usage() {
          --unsupervised   run experiments bare: a panicking experiment\n\
          \taborts the whole campaign (debugging aid)\n\
          --no-prune     simulate every fault; disables the def/use\n\
-         \taccess-trace pruner (single-bit campaigns classify overwritten/\n\
+         \taccess-trace pruner (flip-model campaigns classify overwritten/\n\
          \tlatent faults analytically and share one simulation per\n\
          \tequivalence class; outcomes are bit-identical either way)\n\
          --paranoid N   re-simulate up to N replicated members per\n\
-         \tequivalence class as a runtime cross-check of the pruner\n\
-         --batch-width W  lockstep-batch up to W replicas per checkpoint\n\
-         \twindow against the golden access trace (flip models only;\n\
-         \toutcomes are bit-identical to the scalar path)\n\
-         --no-batch     force the scalar per-fault path (= --batch-width 0)\n\
+         \tequivalence class as a runtime cross-check of the pruner;\n\
+         \tthe run fails if no record was audited\n\
          --no-vis       disable EDM-visibility analytic classification of\n\
          	bits the def/use trace cannot see (they simulate instead;\n\
          	outcomes are bit-identical either way)\n\
@@ -357,6 +340,16 @@ impl CampaignObserver for ProgressPrinter<'_> {
     }
 }
 
+/// Counts the records `--paranoid` re-simulated and found equivalent.
+#[derive(Default)]
+struct AuditCount(AtomicUsize);
+
+impl CampaignObserver for AuditCount {
+    fn record_audited(&self, _index: usize) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -381,7 +374,6 @@ fn main() -> ExitCode {
     cfg.prune = !args.no_prune;
     cfg.vis = !args.no_vis;
     cfg.paranoid = args.paranoid;
-    cfg.batch_width = args.batch_width;
     cfg.supervisor = if args.unsupervised {
         None
     } else {
@@ -414,6 +406,7 @@ fn main() -> ExitCode {
     );
     let started = std::time::Instant::now();
     let prepared = prepare_campaign(&args.workload, &cfg);
+    let audits = AuditCount::default();
 
     // Attach the streaming store (fresh or resumed) before any experiment
     // runs, so every classified record is durable the moment it exists.
@@ -477,11 +470,12 @@ fn main() -> ExitCode {
             let printer = ProgressPrinter::new(&telemetry, Duration::from_millis(500));
             let mut observers = ObserverSet::new();
             observers.push(&telemetry);
+            observers.push(&audits);
             if args.progress {
                 observers.push(&printer);
             }
             let result = prepared.run(&observers);
-            return finish(&args, result, &telemetry, started);
+            return finish(&args, result, &telemetry, &audits, started);
         }
     };
 
@@ -491,6 +485,7 @@ fn main() -> ExitCode {
     let mut observers = ObserverSet::new();
     observers.push(&store);
     observers.push(&telemetry);
+    observers.push(&audits);
     if args.progress {
         observers.push(&printer);
     }
@@ -503,13 +498,14 @@ fn main() -> ExitCode {
     if let Some(path) = &args.out {
         eprintln!("result store written to {path}");
     }
-    finish(&args, result, &telemetry, started)
+    finish(&args, result, &telemetry, &audits, started)
 }
 
 fn finish(
     args: &Args,
     result: bera::goofi::campaign::CampaignResult,
     telemetry: &Telemetry,
+    audits: &AuditCount,
     started: std::time::Instant,
 ) -> ExitCode {
     let elapsed = started.elapsed();
@@ -524,7 +520,7 @@ fn finish(
     );
 
     // A result store gets a telemetry sidecar: the snapshot holds the
-    // execution-strategy counters (prune/splice/batch/split-off) that the
+    // execution-strategy counters (prune/splice/analytic/replicated) that the
     // records themselves don't carry, so `report` can show how a stored
     // campaign was run. Written atomically (temp file + rename) so a
     // crash mid-write cannot leave a truncated sidecar.
@@ -552,6 +548,21 @@ fn finish(
                 return ExitCode::FAILURE;
             }
         }
+    }
+
+    // A cross-check that audited nothing proves nothing: fail loudly
+    // rather than let `--paranoid` pass vacuously.
+    if args.paranoid > 0 {
+        let audited = audits.0.load(Ordering::Relaxed);
+        if audited == 0 {
+            eprintln!(
+                "error: --paranoid {} audited no record (the campaign has no \
+                 replicated class member to re-simulate)",
+                args.paranoid
+            );
+            return ExitCode::FAILURE;
+        }
+        eprintln!("paranoid: {audited} replicated record(s) re-simulated and equivalent");
     }
     ExitCode::SUCCESS
 }

@@ -14,7 +14,7 @@
 //!    gap, converging to the identical canonical merge.
 
 use bera_goofi::campaign::{run_scifi_campaign, run_scifi_campaign_observed, CampaignConfig};
-use bera_goofi::experiment::ExperimentRecord;
+use bera_goofi::experiment::{ExperimentRecord, FaultModel};
 use bera_goofi::farm::{
     done_path, init_farm, manifest_path, merge_farm, merged_path, read_manifest, run_worker,
     segment_path, FarmError, FarmManifest, LeasePolicy,
@@ -159,6 +159,39 @@ fn merged_planning_counters_are_exact_not_per_shard_sums() {
     // Planning CPU stays a sum: each of the three shard runs really spent
     // it, so the farm figure must be at least the single-process figure.
     assert!(merged.plan_micros >= reference.plan_micros);
+}
+
+/// The execution counters — records simulated, convergence splices and
+/// the prune rate derived from them — agree exactly between a farm and a
+/// single-process run of the same campaign. Under the double-bit model,
+/// analytic records carry a `pruned_at` of their own; neither run may
+/// count those as splices, so the prune rate stays at most 100 %.
+#[test]
+fn merged_prune_counters_match_a_single_process_run() {
+    const PRUNE_FAULTS: usize = 120;
+    let mut cfg = CampaignConfig::quick(PRUNE_FAULTS, 7);
+    cfg.fault_model = FaultModel::AdjacentDoubleBit;
+    let telemetry = Telemetry::new(PRUNE_FAULTS);
+    let _ = run_scifi_campaign_observed(&Workload::algorithm_one(), &cfg, &telemetry);
+    let reference = telemetry.snapshot();
+
+    let root = scratch("prune-exact");
+    init_farm(&root, "alg1", &cfg, SHARDS, LeasePolicy::default()).expect("init farm");
+    run_worker(&root, "pruner", 1, &mut |_| {}).expect("worker completes");
+    let report = merge_farm(&root).expect("merge completes");
+    let merged = report.telemetry.expect("shards wrote sidecars");
+
+    assert!(reference.pruned > 0, "the fixture campaign must splice");
+    assert_eq!(merged.completed, reference.completed);
+    assert_eq!(merged.analytic, reference.analytic);
+    assert_eq!(merged.replicated, reference.replicated);
+    assert_eq!(merged.simulated(), reference.simulated());
+    assert_eq!(merged.pruned, reference.pruned);
+    assert_eq!(
+        merged.prune_rate().to_bits(),
+        reference.prune_rate().to_bits()
+    );
+    assert!(reference.prune_rate() <= 1.0);
 }
 
 proptest! {

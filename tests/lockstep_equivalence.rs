@@ -1,30 +1,32 @@
-//! The lockstep batch-engine equivalence suite.
+//! The multi-unit planner rule's equivalence suite.
 //!
-//! The batch engine's contract (`DESIGN.md` § 8f) is the same as the
-//! pruner's: a batched campaign is a pure wall-clock optimisation. Every
-//! record it emits carries the classification a scalar run of that fault
-//! would have produced — same outcome, deviation, detection latency and
-//! outputs — differing at most in the provenance metadata that says *how*
-//! the record was obtained. These tests drive that contract end to end:
+//! Multi-bit flips used to be resolved by a lockstep batch engine that
+//! walked each replica forward against the golden run and split it off at
+//! its first divergence. That walk is now one closed-form rule in
+//! `planner::plan_campaign` (`DESIGN.md` § 8f): every flipped bit maps to
+//! a def/use or visibility unit, and the first golden access to each unit
+//! at or after injection decides between `Latent`, `Overwritten`, a shared
+//! equivalence class or a simulation. The contract is unchanged: a planned
+//! ("batched") campaign is a pure wall-clock optimisation over plain
+//! ("scalar") simulation, `--no-prune`. Every record carries the
+//! classification a simulation of that fault would have produced,
+//! differing at most in provenance metadata. The tests keep the seeds and
+//! shapes the lockstep engine was held to:
 //!
-//! * fixed-seed 500-fault campaigns on both algorithms are compared
-//!   record-for-record against their `batch_width: 0` twins;
-//! * every fault model gets the same comparison — the flip models through
-//!   the batch engine proper, the non-quiescent models (intermittent,
-//!   stuck-at) through the eligibility gate that must bypass it, where
-//!   even the bytes must match;
-//! * the batch path is *load-bearing* without the pruner: a `prune: false`
-//!   single-bit campaign still classifies faults analytically, from the
-//!   lockstep walk alone;
-//! * batch width is outcome-*and*-byte invariant: widths 1, 3, 32 and
-//!   1024 produce identical record streams (grouping and split-off
-//!   dedup do not depend on the chunk size);
-//! * property tests generalise the fixed seeds over random seeds, both
-//!   algorithms and all models.
+//! * fixed-seed 500-fault adjacent double-bit campaigns on both algorithms
+//!   are compared record-for-record against their `prune: false` twins;
+//! * every fault model gets the same comparison at seed 43 — the flip
+//!   models through the planner rule, which must classify some multi-bit
+//!   faults analytically, the re-asserting models (intermittent, stuck-at)
+//!   through a bypass where even the bytes must match;
+//! * the seed-47 untraceable fault list, whose multi-bit replicas can only
+//!   be classified through visibility units;
+//! * a property test over random seeds, both algorithms and the multi-bit
+//!   flip models at burst widths 1–6.
 
 use bera_goofi::campaign::{run_fault_list, run_scifi_campaign_observed, CampaignConfig};
 use bera_goofi::experiment::{golden_run, ExperimentRecord, FaultModel, FaultSpec, Provenance};
-use bera_goofi::observer::{NullObserver, Telemetry};
+use bera_goofi::observer::NullObserver;
 use bera_goofi::planner::records_equivalent;
 use bera_goofi::workload::Workload;
 use bera_tcpu::scan;
@@ -55,11 +57,30 @@ fn assert_equivalent(batched: &[ExperimentRecord], scalar: &[ExperimentRecord]) 
 
 fn batched_equivalence_500(workload: &Workload, seed: u64) {
     let mut cfg = CampaignConfig::quick(500, seed);
+    cfg.fault_model = FaultModel::AdjacentDoubleBit;
     cfg.threads = 0; // all cores; sharding is outcome-invariant
     let batched = run(workload, &cfg);
-    cfg.batch_width = 0;
+    cfg.prune = false;
     let scalar = run(workload, &cfg);
     assert_equivalent(&batched, &scalar);
+
+    assert_eq!(analytic_count(&scalar), 0, "--no-prune is plain simulation");
+    assert!(
+        analytic_count(&batched) > 0,
+        "the planner must classify some double-bit faults analytically"
+    );
+    for r in &batched {
+        if r.provenance == Provenance::Analytic {
+            assert!(
+                matches!(
+                    r.outcome,
+                    bera_goofi::Outcome::Latent | bera_goofi::Outcome::Overwritten
+                ),
+                "analytic record with outcome {:?}",
+                r.outcome
+            );
+        }
+    }
 }
 
 #[test]
@@ -89,10 +110,11 @@ fn every_fault_model_matches_its_scalar_run() {
         let mut cfg = CampaignConfig::quick(120, 43);
         cfg.fault_model = model;
         let batched = run(&workload, &cfg);
-        cfg.batch_width = 0;
+        cfg.prune = false;
         let scalar = run(&workload, &cfg);
 
         assert_equivalent(&batched, &scalar);
+        assert_eq!(analytic_count(&scalar), 0, "--no-prune is plain simulation");
         let json = |rs: &[ExperimentRecord]| -> Vec<String> {
             rs.iter()
                 .map(|r| serde_json::to_string(r).expect("serialize"))
@@ -100,100 +122,28 @@ fn every_fault_model_matches_its_scalar_run() {
         };
         match model {
             // A non-quiescent injector re-asserts between trace samples,
-            // so the trace walk is unsound and the eligibility gate must
-            // route the whole campaign down the identical scalar path.
+            // so first-access reasoning is unsound and the planner must
+            // route the whole campaign down the identical simulation path.
             FaultModel::Intermittent { .. } | FaultModel::StuckAt { .. } => {
                 assert_eq!(json(&batched), json(&scalar), "{model:?} must bypass");
             }
-            // The multi-bit flip models have no def/use pruner: every
-            // analytic record in the batched run came from the lockstep
-            // walk, and there must be some for the engine to earn its keep.
-            FaultModel::AdjacentDoubleBit | FaultModel::Burst { .. } => {
-                assert_eq!(analytic_count(&scalar), 0, "{model:?} has no pruner");
+            FaultModel::SingleBit | FaultModel::AdjacentDoubleBit | FaultModel::Burst { .. } => {
                 assert!(
                     analytic_count(&batched) > 0,
-                    "{model:?} must classify some faults in lockstep"
+                    "{model:?} must classify some faults analytically"
                 );
             }
-            FaultModel::SingleBit => {}
         }
     }
-}
-
-#[test]
-fn batching_virtualizes_without_the_pruner() {
-    // With the def/use planner off, the lockstep walk is the only thing
-    // standing between a latent/overwritten fault and a full simulation;
-    // it must still find them, and still agree with the scalar run.
-    let workload = Workload::algorithm_one();
-    let mut cfg = CampaignConfig::quick(300, 44);
-    cfg.prune = false;
-    let batched = run(&workload, &cfg);
-    assert!(
-        analytic_count(&batched) > 0,
-        "the batch engine must classify analytically without the pruner"
-    );
-    for r in &batched {
-        if r.provenance == Provenance::Analytic {
-            assert!(
-                matches!(
-                    r.outcome,
-                    bera_goofi::Outcome::Latent | bera_goofi::Outcome::Overwritten
-                ),
-                "lockstep record with outcome {:?}",
-                r.outcome
-            );
-        }
-    }
-
-    cfg.batch_width = 0;
-    let scalar = run(&workload, &cfg);
-    assert_eq!(analytic_count(&scalar), 0);
-    assert_equivalent(&batched, &scalar);
-}
-
-#[test]
-fn batch_width_is_byte_invariant_and_width_one_matches_scalar() {
-    let workload = Workload::algorithm_one();
-    let json = |width: usize| -> Vec<String> {
-        let mut cfg = CampaignConfig::quick(300, 45);
-        cfg.fault_model = FaultModel::Burst { width: 3 };
-        cfg.batch_width = width;
-        run(&workload, &cfg)
-            .iter()
-            .map(|r| serde_json::to_string(r).expect("serialize"))
-            .collect()
-    };
-    // Group chunking and split-off dedup preserve candidate order, so the
-    // record stream is identical down to the bytes at any width ≥ 1.
-    let reference = json(1);
-    for width in [3, 32, 1024] {
-        assert_eq!(
-            reference,
-            json(width),
-            "width {width} diverged from width 1"
-        );
-    }
-    // Width 1 still batches (groups of one), so against the true scalar
-    // path only provenance metadata may differ.
-    let scalar: Vec<ExperimentRecord> = json(0)
-        .iter()
-        .map(|s| serde_json::from_str(s).expect("parse"))
-        .collect();
-    let width_one: Vec<ExperimentRecord> = reference
-        .iter()
-        .map(|s| serde_json::from_str(s).expect("parse"))
-        .collect();
-    assert_equivalent(&width_one, &scalar);
 }
 
 /// A pinned fault list over the state the def/use trace cannot see —
 /// PSR flags, the signature register, cache metadata, the store and fill
-/// buffers — where lockstep admission now rides on visibility deltas.
-/// Under every fault model the batched run must stay record-for-record
-/// equivalent to its scalar twin, and for the multi-bit flip models the
-/// visibility deltas must actually admit some of these replicas (without
-/// them the whole set fell back to scalar simulation).
+/// buffers — where a multi-bit fault is classified through the
+/// visibility units of its bits. Under every fault model the planned run
+/// must stay record-for-record equivalent to plain simulation, and for
+/// the multi-bit flip models the visibility units must actually classify
+/// some of these faults.
 #[test]
 fn untraceable_locations_batch_equivalently_across_models() {
     let workload = Workload::algorithm_one();
@@ -245,67 +195,34 @@ fn untraceable_locations_batch_equivalently_across_models() {
         let mut cfg = base.clone();
         cfg.fault_model = model;
         let batched = run_fault_list(&workload, &cfg, &golden, &faults);
-        cfg.batch_width = 0;
+        cfg.prune = false;
         let scalar = run_fault_list(&workload, &cfg, &golden, &faults);
         assert_equivalent(&batched, &scalar);
+        assert_eq!(analytic_count(&scalar), 0, "--no-prune is plain simulation");
 
         if matches!(
             model,
             FaultModel::AdjacentDoubleBit | FaultModel::Burst { .. }
         ) {
-            assert_eq!(analytic_count(&scalar), 0, "{model:?} has no pruner");
             assert!(
                 analytic_count(&batched) > 0,
-                "{model:?} must resolve some untraceable replicas in lockstep"
+                "{model:?} must classify some untraceable faults analytically"
             );
         }
     }
-}
-
-#[test]
-fn batch_telemetry_counts_are_coherent() {
-    let workload = Workload::algorithm_two();
-    let mut cfg = CampaignConfig::quick(300, 46);
-    cfg.fault_model = FaultModel::AdjacentDoubleBit;
-    let telemetry = Telemetry::new(cfg.faults);
-    let result = run_scifi_campaign_observed(&workload, &cfg, &telemetry);
-    let snap = telemetry.snapshot();
-
-    assert!(snap.batch_groups > 0, "a flip campaign must form batches");
-    assert!(snap.batch_members > 0);
-    assert!(
-        snap.batch_members <= snap.batch_capacity,
-        "occupancy cannot exceed capacity"
-    );
-    assert!(
-        snap.split_offs <= snap.batch_members,
-        "only batched replicas can split off"
-    );
-    assert!((0.0..=1.0).contains(&snap.batch_occupancy()));
-    assert!((0.0..=1.0).contains(&snap.split_off_rate()));
-    assert!(snap.mean_lockstep_prefix() >= 0.0);
-    // The convergence-splice invariant survives virtual records: every
-    // `pruned_at` in the record stream was announced to the observer.
-    assert_eq!(
-        snap.pruned,
-        result
-            .records
-            .iter()
-            .filter(|r| r.pruned_at.is_some())
-            .count()
-    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random-seed generalisation of the fixed-seed suites above, over
-    /// both algorithms and every fault model: batched and scalar
-    /// campaigns agree record for record.
+    /// both algorithms and the multi-bit flip models at every burst width
+    /// from 1 to 6: planned and plainly simulated campaigns agree record
+    /// for record.
     #[test]
     fn batching_is_outcome_invariant_for_random_seeds(
         seed in 0u64..1_000,
-        model_pick in 0usize..6,
+        width in 0usize..7,
     ) {
         let workload = if seed.is_multiple_of(2) {
             Workload::algorithm_one()
@@ -313,38 +230,14 @@ proptest! {
             Workload::algorithm_two()
         };
         let mut cfg = CampaignConfig::quick(24, seed);
-        cfg.fault_model = match model_pick {
-            0 => FaultModel::SingleBit,
-            1 => FaultModel::AdjacentDoubleBit,
-            2 => FaultModel::Intermittent { reassert_iterations: 2 },
-            3 => FaultModel::StuckAt { value: false },
-            4 => FaultModel::StuckAt { value: true },
-            _ => FaultModel::Burst { width: 3 },
+        cfg.fault_model = match width {
+            0 => FaultModel::AdjacentDoubleBit,
+            w => FaultModel::Burst { width: w },
         };
         let batched = run(&workload, &cfg);
-        cfg.batch_width = 0;
+        cfg.prune = false;
         let scalar = run(&workload, &cfg);
         prop_assert_eq!(batched.len(), scalar.len());
-        for (b, s) in batched.iter().zip(&scalar) {
-            prop_assert!(records_equivalent(b, s), "{:?} vs {:?}", b, s);
-        }
-    }
-
-    /// The split-off boundary is exact: whatever instant a replica
-    /// diverges at, resuming the scalar engine there must classify like
-    /// a scalar run that replayed the whole lockstep prefix. Narrow
-    /// fault lists at random seeds exercise boundaries the fixed-seed
-    /// suites may miss (checkpoint edges, injection-adjacent accesses).
-    #[test]
-    fn split_off_boundaries_are_exact_for_random_seeds(seed in 0u64..1_000) {
-        let workload = Workload::algorithm_one();
-        // prune: false maximises batch traffic — every sampled fault is a
-        // batch candidate, so split-offs dominate the record stream.
-        let mut cfg = CampaignConfig::quick(32, seed);
-        cfg.prune = false;
-        let batched = run(&workload, &cfg);
-        cfg.batch_width = 0;
-        let scalar = run(&workload, &cfg);
         for (b, s) in batched.iter().zip(&scalar) {
             prop_assert!(records_equivalent(b, s), "{:?} vs {:?}", b, s);
         }

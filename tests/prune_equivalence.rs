@@ -9,13 +9,19 @@
 //!
 //! * fixed-seed 500-fault campaigns on both algorithms are compared
 //!   record-for-record against their `prune: false` twins;
-//! * every non-transient fault model (and the parity-cache configuration)
-//!   bypasses the pruner entirely and stays byte-identical;
+//! * every flip model (single, double, `burst:3`) is planned and stays
+//!   record-equivalent on both algorithms, while the re-asserting models
+//!   (intermittent, stuck-at) and the parity-cache configuration bypass
+//!   the pruner entirely and stay byte-identical;
+//! * the convergence-prune counter counts simulated splices only, so the
+//!   prune rate never exceeds 100 % under any flip model;
 //! * `paranoid` mode re-simulates class members in-campaign and panics on
 //!   any disagreement — running it clean is itself the assertion;
-//! * property tests show the planner's analysis is *load-bearing*: a
-//!   perturbed golden trace (an extra read between two class members, a
-//!   full write narrowed to a partial one) changes the plan.
+//! * property tests generalise the fixed seeds over random seeds, both
+//!   algorithms and every fault model, and show the planner's analysis is
+//!   *load-bearing*: a perturbed golden trace (an extra read between two
+//!   class members, a full write narrowed to a partial one) changes the
+//!   plan.
 
 use bera_goofi::campaign::{
     prepare_campaign, run_fault_list, run_scifi_campaign_observed, CampaignConfig, FaultList,
@@ -23,12 +29,13 @@ use bera_goofi::campaign::{
 use bera_goofi::experiment::{
     golden_run, ExperimentRecord, FaultModel, FaultSpec, GoldenRun, Provenance,
 };
-use bera_goofi::observer::NullObserver;
+use bera_goofi::observer::{CampaignObserver, NullObserver, Telemetry};
 use bera_goofi::planner::{plan_campaign, records_equivalent, PlanAction};
 use bera_goofi::workload::Workload;
 use bera_tcpu::access::{Access, AccessKind};
 use bera_tcpu::scan;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 fn run(workload: &Workload, cfg: &CampaignConfig) -> Vec<ExperimentRecord> {
@@ -59,7 +66,6 @@ fn assert_equivalent(pruned: &[ExperimentRecord], unpruned: &[ExperimentRecord])
 fn equivalence_500(workload: &Workload, seed: u64) {
     let mut cfg = CampaignConfig::quick(500, seed);
     cfg.threads = 0; // all cores; sharding is outcome-invariant
-    cfg.batch_width = 0; // provenance counts below assume scalar execution
     let pruned = run(workload, &cfg);
     cfg.prune = false;
     let unpruned = run(workload, &cfg);
@@ -129,43 +135,94 @@ fn replication_fires_at_scale_and_stays_bit_identical() {
     }
 }
 
+/// Every fault model the campaign engine knows, in a fixed order.
+const MODELS: [FaultModel; 6] = [
+    FaultModel::SingleBit,
+    FaultModel::AdjacentDoubleBit,
+    FaultModel::Intermittent {
+        reassert_iterations: 2,
+    },
+    FaultModel::StuckAt { value: false },
+    FaultModel::StuckAt { value: true },
+    FaultModel::Burst { width: 3 },
+];
+
+/// The one-shot flip models the planner covers.
+fn is_flip_model(model: FaultModel) -> bool {
+    matches!(
+        model,
+        FaultModel::SingleBit | FaultModel::AdjacentDoubleBit | FaultModel::Burst { .. }
+    )
+}
+
 #[test]
 fn every_fault_model_matches_its_unpruned_run() {
+    for workload in [Workload::algorithm_one(), Workload::algorithm_two()] {
+        for model in MODELS {
+            let mut cfg = CampaignConfig::quick(80, 31);
+            cfg.fault_model = model;
+            let pruned = run(&workload, &cfg);
+            cfg.prune = false;
+            let unpruned = run(&workload, &cfg);
+
+            assert_equivalent(&pruned, &unpruned);
+            assert_eq!(
+                provenance_counts(&unpruned),
+                (cfg.faults, 0, 0),
+                "--no-prune is plain simulation"
+            );
+            let (_, analytic, replicated) = provenance_counts(&pruned);
+            if is_flip_model(model) {
+                assert!(analytic > 0, "{model:?} campaign must prune");
+            } else {
+                // Re-asserting models bypass the planner: the two runs are
+                // the same code path, so even the provenance metadata is
+                // identical.
+                assert_eq!((analytic, replicated), (0, 0), "{model:?} must not prune");
+                let json = |rs: &[ExperimentRecord]| -> Vec<String> {
+                    rs.iter()
+                        .map(|r| serde_json::to_string(r).expect("serialize"))
+                        .collect()
+                };
+                assert_eq!(json(&pruned), json(&unpruned), "{model:?}");
+            }
+        }
+    }
+}
+
+/// The convergence-prune counter counts only splices a simulation
+/// performed. Analytic multi-bit `Overwritten` records carry a `pruned_at`
+/// too, but no simulation ran for them, so they must not inflate the
+/// counter: the prune rate is a share of the simulated records and never
+/// exceeds 100 %.
+#[test]
+fn pruned_counts_only_simulated_splices_for_every_flip_model() {
     let workload = Workload::algorithm_one();
-    let models = [
+    for model in [
         FaultModel::SingleBit,
         FaultModel::AdjacentDoubleBit,
-        FaultModel::Intermittent {
-            reassert_iterations: 2,
-        },
-        FaultModel::StuckAt { value: false },
-        FaultModel::StuckAt { value: true },
         FaultModel::Burst { width: 3 },
-    ];
-    for model in models {
-        let mut cfg = CampaignConfig::quick(80, 31);
+    ] {
+        let mut cfg = CampaignConfig::quick(300, 46);
         cfg.fault_model = model;
-        // The lockstep batch engine also emits analytic records for the
-        // flip models; pin it off so the counts below isolate the pruner.
-        cfg.batch_width = 0;
-        let pruned = run(&workload, &cfg);
-        cfg.prune = false;
-        let unpruned = run(&workload, &cfg);
-
-        assert_equivalent(&pruned, &unpruned);
-        let (_, analytic, replicated) = provenance_counts(&pruned);
-        if model == FaultModel::SingleBit {
-            assert!(analytic > 0, "single-bit campaign must prune");
-        } else {
-            // Non-transient models bypass the planner: the two runs are the
-            // same code path, so even the provenance metadata is identical.
-            assert_eq!((analytic, replicated), (0, 0), "{model:?} must not prune");
-            let json = |rs: &[ExperimentRecord]| -> Vec<String> {
-                rs.iter()
-                    .map(|r| serde_json::to_string(r).expect("serialize"))
-                    .collect()
-            };
-            assert_eq!(json(&pruned), json(&unpruned), "{model:?}");
+        let telemetry = Telemetry::new(cfg.faults);
+        let records = run_scifi_campaign_observed(&workload, &cfg, &telemetry).records;
+        let snap = telemetry.snapshot();
+        let simulated_splices = records
+            .iter()
+            .filter(|r| r.provenance == Provenance::Simulated && r.pruned_at.is_some())
+            .count();
+        assert!(simulated_splices > 0, "{model:?}: the test must bite");
+        assert_eq!(snap.pruned, simulated_splices, "{model:?}");
+        assert_eq!(snap.simulated(), provenance_counts(&records).0, "{model:?}");
+        assert!(snap.prune_rate() <= 1.0, "{model:?}: {}", snap.prune_rate());
+        if model != FaultModel::SingleBit {
+            assert!(
+                records
+                    .iter()
+                    .any(|r| r.provenance == Provenance::Analytic && r.pruned_at.is_some()),
+                "{model:?}: analytic kills carry a splice point the counter must skip"
+            );
         }
     }
 }
@@ -192,30 +249,50 @@ fn parity_cache_campaigns_bypass_the_pruner() {
     assert_eq!(json(&pruned), json(&unpruned));
 }
 
+/// Counts `record_audited` events.
+#[derive(Default)]
+struct AuditCount(AtomicUsize);
+
+impl CampaignObserver for AuditCount {
+    fn record_audited(&self, _index: usize) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 #[test]
 fn paranoid_mode_cross_checks_class_members_in_campaign() {
     // `paranoid` re-simulates members of every equivalence class and
     // panics inside the campaign on any disagreement with the replicated
-    // record, so a clean completion *is* the soundness check. The records
-    // themselves must be untouched by the auditing.
+    // record, so a clean completion *is* the soundness check — provided
+    // it audited something, which it must for single-bit and multi-bit
+    // classes alike. The records themselves must be untouched by the
+    // auditing.
     let workload = Workload::algorithm_one();
-    let mut cfg = CampaignConfig::quick(2000, 21);
-    cfg.threads = 0;
-    cfg.paranoid = 2;
-    let audited = run(&workload, &cfg);
-    assert!(
-        provenance_counts(&audited).2 > 0,
-        "seed must produce replicated records for the audit to bite"
-    );
-
-    cfg.paranoid = 0;
-    let plain = run(&workload, &cfg);
-    for (i, (a, p)) in audited.iter().zip(&plain).enumerate() {
-        assert_eq!(
-            serde_json::to_string(a).expect("serialize"),
-            serde_json::to_string(p).expect("serialize"),
-            "paranoid auditing perturbed record {i}"
+    for model in [FaultModel::SingleBit, FaultModel::AdjacentDoubleBit] {
+        let mut cfg = CampaignConfig::quick(2000, 21);
+        cfg.fault_model = model;
+        cfg.threads = 0;
+        cfg.paranoid = 2;
+        let audits = AuditCount::default();
+        let audited = run_scifi_campaign_observed(&workload, &cfg, &audits).records;
+        assert!(
+            provenance_counts(&audited).2 > 0,
+            "{model:?}: seed must produce replicated records for the audit to bite"
         );
+        assert!(
+            audits.0.load(Ordering::Relaxed) > 0,
+            "{model:?}: paranoid mode audited nothing"
+        );
+
+        cfg.paranoid = 0;
+        let plain = run(&workload, &cfg);
+        for (i, (a, p)) in audited.iter().zip(&plain).enumerate() {
+            assert_eq!(
+                serde_json::to_string(a).expect("serialize"),
+                serde_json::to_string(p).expect("serialize"),
+                "{model:?}: paranoid auditing perturbed record {i}"
+            );
+        }
     }
 }
 
@@ -243,16 +320,21 @@ fn sample_faults(seed: u64) -> Vec<FaultSpec> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random-seed generalisation of the fixed-seed suites above: pruned
-    /// and unpruned campaigns agree record for record.
+    /// Random-seed generalisation of the fixed-seed suites above, over
+    /// both algorithms and every fault model: pruned and unpruned
+    /// campaigns agree record for record.
     #[test]
-    fn pruning_is_outcome_invariant_for_random_seeds(seed in 0u64..1_000) {
+    fn pruning_is_outcome_invariant_for_random_seeds(
+        seed in 0u64..1_000,
+        model_pick in 0usize..6,
+    ) {
         let workload = if seed.is_multiple_of(2) {
             Workload::algorithm_one()
         } else {
             Workload::algorithm_two()
         };
         let mut cfg = CampaignConfig::quick(24, seed);
+        cfg.fault_model = MODELS[model_pick];
         let pruned = run(&workload, &cfg);
         cfg.prune = false;
         let unpruned = run(&workload, &cfg);
@@ -512,15 +594,19 @@ fn untraceable_locations_are_equivalent_across_models_and_layers() {
                 unvis[i]
             );
         }
-        if model == FaultModel::SingleBit {
-            // The pinned set is invisible to the def/use trace, so any
-            // analytic record here was earned by the visibility layer.
+        if is_flip_model(model) {
+            // Every pinned fault flips at least one bit the def/use trace
+            // cannot see, so any analytic record here was earned by the
+            // visibility layer — for the multi-bit sets too.
             let (_, analytic, _) = provenance_counts(&default_run);
-            assert!(analytic > 0, "the visibility layer must carry this set");
+            assert!(
+                analytic > 0,
+                "{model:?}: the visibility layer must carry this set"
+            );
             assert_eq!(
                 provenance_counts(&unvis).1,
                 0,
-                "without it nothing on this set is analytic"
+                "{model:?}: without it nothing on this set is analytic"
             );
         }
     }
