@@ -270,33 +270,14 @@ impl VisTrace {
     }
 }
 
-/// The machine's optional visibility recorder. Behaviourally inert
-/// exactly like [`crate::access::TraceSlot`]: clones of a tracing machine
-/// do not trace, equality ignores it, and it serializes as `null`.
+/// The machine's optional visibility recorder. Like
+/// [`crate::access::TraceSlot`], clones of a tracing machine do not trace.
 #[derive(Debug, Default)]
 pub(crate) struct VisSlot(pub(crate) Option<Box<VisTrace>>);
 
 impl Clone for VisSlot {
     fn clone(&self) -> Self {
         VisSlot(None)
-    }
-}
-
-impl PartialEq for VisSlot {
-    fn eq(&self, _other: &Self) -> bool {
-        true
-    }
-}
-
-impl serde::Serialize for VisSlot {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Null
-    }
-}
-
-impl serde::Deserialize for VisSlot {
-    fn from_value(_v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(VisSlot::default())
     }
 }
 

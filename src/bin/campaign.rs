@@ -404,7 +404,9 @@ fn main() -> ExitCode {
         args.seed,
         args.checkpoint_stride,
     );
-    let started = std::time::Instant::now();
+    // One campaign clock: the telemetry starts before the golden run and
+    // planning, so the sidecar's `elapsed_seconds` covers the whole run.
+    let telemetry = Telemetry::new(args.faults);
     let prepared = prepare_campaign(&args.workload, &cfg);
     let audits = AuditCount::default();
 
@@ -466,7 +468,6 @@ fn main() -> ExitCode {
         }
         None => {
             // No store: run purely in memory as before.
-            let telemetry = Telemetry::new(args.faults);
             let printer = ProgressPrinter::new(&telemetry, Duration::from_millis(500));
             let mut observers = ObserverSet::new();
             observers.push(&telemetry);
@@ -475,11 +476,10 @@ fn main() -> ExitCode {
                 observers.push(&printer);
             }
             let result = prepared.run(&observers);
-            return finish(&args, result, &telemetry, &audits, started);
+            return finish(&args, result, &telemetry, &audits);
         }
     };
 
-    let telemetry = Telemetry::new(args.faults);
     telemetry.note_preloaded(preloaded.iter().filter(|r| r.is_some()).count());
     let printer = ProgressPrinter::new(&telemetry, Duration::from_millis(500));
     let mut observers = ObserverSet::new();
@@ -498,7 +498,7 @@ fn main() -> ExitCode {
     if let Some(path) = &args.out {
         eprintln!("result store written to {path}");
     }
-    finish(&args, result, &telemetry, &audits, started)
+    finish(&args, result, &telemetry, &audits)
 }
 
 fn finish(
@@ -506,17 +506,15 @@ fn finish(
     result: bera::goofi::campaign::CampaignResult,
     telemetry: &Telemetry,
     audits: &AuditCount,
-    started: std::time::Instant,
 ) -> ExitCode {
-    let elapsed = started.elapsed();
     println!("{}", tabulate(&result).render());
 
     let snap = telemetry.snapshot();
     eprintln!(
         "{} faults in {:.2} s ({:.1} faults/s); telemetry: {snap}",
         result.records.len(),
-        elapsed.as_secs_f64(),
-        result.records.len() as f64 / elapsed.as_secs_f64().max(1e-9),
+        snap.elapsed_seconds,
+        result.records.len() as f64 / snap.elapsed_seconds.max(1e-9),
     );
 
     // A result store gets a telemetry sidecar: the snapshot holds the
