@@ -3,8 +3,8 @@
 
 use crate::classify::Outcome;
 use crate::experiment::{
-    golden_run, run_experiment_observed, run_experiment_with_model, ExperimentRecord, FaultModel,
-    FaultSpec, GoldenRun, LoopConfig, Provenance,
+    golden_run, run_experiment_with_model, ExperimentRecord, FaultModel, FaultSpec, GoldenRun,
+    LoopConfig, Provenance,
 };
 use crate::observer::{CampaignObserver, NullObserver};
 use crate::planner::{
@@ -36,9 +36,8 @@ pub struct CampaignConfig {
     /// The fault model (single bit-flip by default, as in the paper).
     pub fault_model: FaultModel,
     /// Supervised execution (panic isolation, watchdog, retry-then-
-    /// quarantine). `None` runs experiments bare: a panic aborts the
-    /// campaign, as a debugging aid.
-    pub supervisor: Option<SupervisorConfig>,
+    /// quarantine); every experiment runs under it.
+    pub supervisor: SupervisorConfig,
     /// Def/use fault-space pruning (see [`crate::planner`]): classify
     /// faults whose outcome follows from the golden access trace without
     /// simulating them, and simulate one representative per equivalence
@@ -75,7 +74,7 @@ impl CampaignConfig {
             threads: 0,
             detail: false,
             fault_model: FaultModel::SingleBit,
-            supervisor: Some(SupervisorConfig::default()),
+            supervisor: SupervisorConfig::default(),
             prune: true,
             paranoid: 0,
             vis: true,
@@ -92,7 +91,7 @@ impl CampaignConfig {
             threads: 1,
             detail: false,
             fault_model: FaultModel::SingleBit,
-            supervisor: Some(SupervisorConfig::default()),
+            supervisor: SupervisorConfig::default(),
             prune: true,
             paranoid: 0,
             vis: true,
@@ -346,9 +345,8 @@ pub fn run_fault_list(
     run_fault_list_resumed(workload, cfg, golden, faults, Vec::new(), &NullObserver)
 }
 
-/// Runs one experiment according to the campaign's execution policy:
-/// supervised (panic isolation, watchdog, retry, quarantine) when the
-/// config carries a [`SupervisorConfig`], bare otherwise.
+/// Runs one experiment under the campaign's supervisor (panic isolation,
+/// watchdog, retry, quarantine).
 fn run_one(
     workload: &Workload,
     cfg: &CampaignConfig,
@@ -357,29 +355,17 @@ fn run_one(
     index: usize,
     observer: &dyn CampaignObserver,
 ) -> ExperimentRecord {
-    match &cfg.supervisor {
-        Some(sup) => run_supervised(
-            workload,
-            &cfg.loop_cfg,
-            golden,
-            fault,
-            cfg.fault_model,
-            cfg.detail,
-            index,
-            observer,
-            sup,
-        ),
-        None => run_experiment_observed(
-            workload,
-            &cfg.loop_cfg,
-            golden,
-            fault,
-            cfg.fault_model,
-            cfg.detail,
-            index,
-            observer,
-        ),
-    }
+    run_supervised(
+        workload,
+        &cfg.loop_cfg,
+        golden,
+        fault,
+        cfg.fault_model,
+        cfg.detail,
+        index,
+        observer,
+        &cfg.supervisor,
+    )
 }
 
 /// Runs the fault indices of `faults` whose `completed` slot is `None`
@@ -532,35 +518,24 @@ fn run_fault_list_scoped(
                     })
                 })
                 .collect();
+            // The supervisor contains per-experiment failures, so a worker
+            // can only die of something outside an experiment; its lost
+            // claims are re-run serially below.
             for h in handles {
-                match h.join() {
-                    Ok(ran) => {
-                        for (i, record) in ran {
-                            slots[i] = Some(record);
-                        }
-                    }
-                    // The supervisor contains per-experiment failures, so a
-                    // worker can only die of something outside an experiment
-                    // (or of supervision being disabled). Unsupervised runs
-                    // propagate the panic as before; supervised campaigns
-                    // self-heal below by re-running the lost claims serially.
-                    Err(payload) => {
-                        if cfg.supervisor.is_none() {
-                            std::panic::resume_unwind(payload);
-                        }
+                if let Ok(ran) = h.join() {
+                    for (i, record) in ran {
+                        slots[i] = Some(record);
                     }
                 }
             }
         });
-        if cfg.supervisor.is_some() {
-            // A crash here models dying after workers died but before
-            // their lost claims were re-run: the store keeps every record
-            // that classified, and the claims stay a resumable gap.
-            crate::fp_nofail!("campaign.self-heal");
-            for i in 0..faults.len() {
-                if slots[i].is_none() && !done[i] {
-                    slots[i] = Some(run_index(i));
-                }
+        // A crash here models dying after workers died but before their
+        // lost claims were re-run: the store keeps every record that
+        // classified, and the claims stay a resumable gap.
+        crate::fp_nofail!("campaign.self-heal");
+        for i in 0..faults.len() {
+            if slots[i].is_none() && !done[i] {
+                slots[i] = Some(run_index(i));
             }
         }
     }

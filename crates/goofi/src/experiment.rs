@@ -275,9 +275,9 @@ pub struct GoldenRun {
     /// Process-unique token identifying this golden run to the per-worker
     /// machine arenas (DESIGN.md §8j). A worker's resident machine is only
     /// delta-restored when its token matches; otherwise the arena falls
-    /// back to a full checkpoint clone. The supervisor's stride-0 retry
-    /// golden keeps the token but has no checkpoints, so it never reaches
-    /// the arena at all.
+    /// back to a full checkpoint clone. An experiment under a stride-0
+    /// config (the supervisor's retry) replays from reset and never
+    /// reaches the arena at all.
     pub arena_token: u64,
     /// For each pair of consecutive checkpoints, the dense data-memory
     /// word keys (see `Memory::data_diff_keys`) at which the two images
@@ -1012,7 +1012,7 @@ pub fn run_experiment_with_model(
     model: FaultModel,
     detail: bool,
 ) -> ExperimentRecord {
-    run_experiment_observed(
+    match run_experiment_watchdog(
         workload,
         cfg,
         golden,
@@ -1021,31 +1021,7 @@ pub fn run_experiment_with_model(
         detail,
         0,
         &NullObserver,
-    )
-}
-
-/// Like [`run_experiment_with_model`], reporting each life-cycle stage
-/// (started, injected, detected / spliced, classified) to `observer` as it
-/// happens. `index` is the fault-list index carried on every event so
-/// observers can correlate them; it does not affect execution.
-///
-/// # Panics
-///
-/// Panics if `fault.location_index` is outside the scan catalog.
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn run_experiment_observed(
-    workload: &Workload,
-    cfg: &LoopConfig,
-    golden: &GoldenRun,
-    fault: FaultSpec,
-    model: FaultModel,
-    detail: bool,
-    index: usize,
-    observer: &dyn CampaignObserver,
-) -> ExperimentRecord {
-    match run_experiment_watchdog(
-        workload, cfg, golden, fault, model, detail, index, observer, None,
+        None,
     ) {
         Ok(record) => record,
         Err(WatchdogExpired) => unreachable!("no deadline was set"),
@@ -1059,11 +1035,14 @@ pub fn run_experiment_observed(
 #[derive(Debug)]
 pub(crate) struct WatchdogExpired;
 
-/// Like [`run_experiment_observed`], aborting with [`WatchdogExpired`] if
-/// the wall-clock `deadline` passes before the run finishes. The deadline
-/// is checked at iteration boundaries only, so target execution (and hence
-/// every classified record) stays bit-deterministic regardless of host
-/// timing.
+/// Like [`run_experiment_with_model`], reporting each life-cycle stage
+/// (started, injected, detected / spliced, classified) to `observer` as it
+/// happens, and aborting with [`WatchdogExpired`] if the wall-clock
+/// `deadline` passes before the run finishes. `index` is the fault-list
+/// index carried on every event so observers can correlate them; it does
+/// not affect execution. The deadline is checked at iteration boundaries
+/// only, so target execution (and hence every classified record) stays
+/// bit-deterministic regardless of host timing.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_experiment_watchdog(
     workload: &Workload,
@@ -1085,9 +1064,14 @@ pub(crate) fn run_experiment_watchdog(
     // (which is bit-identical to the golden run by determinism). The
     // checkpoint state comes out of this worker's machine arena — a delta
     // restore when the previous experiment ran against the same golden, a
-    // full clone otherwise. With checkpointing disabled this falls back to
-    // a from-reset run that never touches the arena.
-    let ckpt_index = golden.checkpoint_index_before(fault.inject_at);
+    // full clone otherwise. With checkpointing disabled (a stride-0 config,
+    // such as the supervisor's retry) this falls back to a from-reset run
+    // that never touches the arena.
+    let ckpt_index = if cfg.checkpoint_stride == 0 {
+        None
+    } else {
+        golden.checkpoint_index_before(fault.inject_at)
+    };
     let (mut machine, engine, start_k, prefix_outputs, prefix_speeds) = match ckpt_index {
         Some(ci) => {
             let ckpt = &golden.checkpoints[ci];

@@ -753,29 +753,20 @@ fn run_claimed_shard(
 ) -> Result<ShardOutcome, FarmError> {
     let seg = segment_path(root, shard.index);
 
-    // Attach the segment store exactly like the single-process `--resume`
-    // path: a headerless remnant restarts cleanly, an existing segment is
-    // validated and torn-tail-recovered, anything else is created fresh.
-    let mut preloaded: Vec<Option<ExperimentRecord>> = Vec::new();
-    let store = if seg.exists() && headerless_remnant(&seg) {
-        JsonlStore::create(&seg, &manifest.header)?
-    } else if seg.exists() {
-        let (store, loaded) = JsonlStore::open_resume(&seg, &manifest.header)?;
-        for (i, slot) in loaded.records.iter().enumerate() {
-            if slot.is_some() && !shard.contains(i) {
-                let owner = manifest.shard_of(i).map_or(usize::MAX, |s| s.index);
-                return Err(FarmError::ForeignIndex {
-                    index: i,
-                    shard: shard.index,
-                    owner,
-                });
-            }
+    // Attach the segment store with the single-process `--resume` routine;
+    // a segment may only hold its own shard's indices.
+    let (store, attached) = JsonlStore::resume_or_create(&seg, &manifest.header)?;
+    let mut preloaded = attached.into_records();
+    for (i, slot) in preloaded.iter().enumerate() {
+        if slot.is_some() && !shard.contains(i) {
+            let owner = manifest.shard_of(i).map_or(usize::MAX, |s| s.index);
+            return Err(FarmError::ForeignIndex {
+                index: i,
+                shard: shard.index,
+                owner,
+            });
         }
-        preloaded = loaded.records;
-        store
-    } else {
-        JsonlStore::create(&seg, &manifest.header)?
-    };
+    }
     let already = preloaded.iter().filter(|r| r.is_some()).count();
     if preloaded.is_empty() {
         preloaded = vec![None; manifest.faults];

@@ -13,11 +13,9 @@ use crate::campaign::CampaignResult;
 use crate::classify::{HarnessCause, Outcome};
 use crate::experiment::{ExperimentRecord, FaultSpec};
 use crate::planner::PlanStats;
-use bera_stats::rate::Ewma;
 use bera_tcpu::edm::ErrorMechanism;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Hooks into the life cycle of a SCIFI campaign.
@@ -228,18 +226,11 @@ impl CampaignObserver for ObserverSet<'_> {
     }
 }
 
-/// Exponentially-smoothed completion rate shared by the worker threads.
-struct RateState {
-    last_completion: Instant,
-    per_second: Ewma,
-}
-
 /// Live campaign counters: classification tallies, throughput, ETA,
 /// checkpoint fast-forward hit-rate and convergence-prune rate.
 ///
 /// All counters are atomics, so observing a heavily parallel campaign
-/// costs a few uncontended fetch-adds per experiment; only the smoothed
-/// throughput estimate takes a (short) mutex.
+/// costs a few uncontended fetch-adds per experiment.
 pub struct Telemetry {
     total: usize,
     started: Instant,
@@ -268,7 +259,6 @@ pub struct Telemetry {
     arena_restores: AtomicUsize,
     arena_dirty_words: AtomicUsize,
     arena_full_clones: AtomicUsize,
-    rate: Mutex<RateState>,
 }
 
 impl Telemetry {
@@ -303,11 +293,6 @@ impl Telemetry {
             arena_restores: AtomicUsize::new(0),
             arena_dirty_words: AtomicUsize::new(0),
             arena_full_clones: AtomicUsize::new(0),
-            rate: Mutex::new(RateState {
-                last_completion: Instant::now(),
-                // Smooth over roughly the last ~40 completions.
-                per_second: Ewma::new(0.05),
-            }),
         }
     }
 
@@ -326,29 +311,15 @@ impl Telemetry {
         let preloaded = load(&self.preloaded);
         let elapsed = self.started.elapsed().as_secs_f64();
         let throughput = completed as f64 / elapsed.max(1e-9);
-        let smoothed = self
-            .rate
-            .lock()
-            .map(|r| r.per_second.value())
-            .unwrap_or(None);
-        let done = completed + preloaded;
-        let remaining = self.total.saturating_sub(done);
-        let eta_seconds = match smoothed.filter(|&r| r > 0.0).or(if throughput > 0.0 {
-            Some(throughput)
-        } else {
-            None
-        }) {
-            Some(rate) if remaining > 0 => Some(remaining as f64 / rate),
-            Some(_) => Some(0.0),
-            None => None,
-        };
+        let remaining = self.total.saturating_sub(completed + preloaded);
+        let eta_seconds = (throughput > 0.0).then(|| remaining as f64 / throughput);
         TelemetrySnapshot {
             total: self.total,
             preloaded,
             completed,
             elapsed_seconds: elapsed,
             throughput,
-            smoothed_throughput: smoothed,
+            smoothed_throughput: None,
             eta_seconds,
             detected: load(&self.detected),
             hangs: load(&self.hangs),
@@ -450,14 +421,6 @@ impl CampaignObserver for Telemetry {
         }
         .fetch_add(1, Ordering::Relaxed);
         self.completed.fetch_add(1, Ordering::Relaxed);
-        if let Ok(mut rate) = self.rate.lock() {
-            let now = Instant::now();
-            let dt = now.duration_since(rate.last_completion).as_secs_f64();
-            rate.last_completion = now;
-            if dt > 0.0 {
-                rate.per_second.update(1.0 / dt);
-            }
-        }
     }
 
     fn experiment_retried(&self, _index: usize, _cause: HarnessCause) {
@@ -480,9 +443,9 @@ pub struct TelemetrySnapshot {
     pub elapsed_seconds: f64,
     /// Overall executed-experiment throughput (experiments per second).
     pub throughput: f64,
-    /// Exponentially smoothed recent throughput, if any completions yet.
+    /// Always `None`. Kept only for `campaign_bench`, which reads it.
     pub smoothed_throughput: Option<f64>,
-    /// Estimated seconds to completion at the recent rate.
+    /// Estimated seconds to completion at the overall throughput.
     pub eta_seconds: Option<f64>,
     /// Detected errors (an EDM fired).
     pub detected: usize,
@@ -604,9 +567,8 @@ impl TelemetrySnapshot {
     /// Folds another worker's snapshot into this one — the farm-level
     /// aggregation: every count is summed, wall-clock is the maximum (the
     /// workers ran concurrently), and the overall throughput is re-derived
-    /// from the summed completions. The rate estimators that only make
-    /// sense for a single live process (smoothed throughput, ETA) are
-    /// cleared rather than invented.
+    /// from the summed completions. The ETA, which only makes sense for a
+    /// single live process, is cleared rather than invented.
     ///
     /// Each shard's *final* sidecar is written by the worker that finished
     /// it, so summing one sidecar per shard counts every fault exactly
@@ -626,7 +588,6 @@ impl TelemetrySnapshot {
         self.completed += other.completed;
         self.elapsed_seconds = self.elapsed_seconds.max(other.elapsed_seconds);
         self.throughput = self.completed as f64 / self.elapsed_seconds.max(1e-9);
-        self.smoothed_throughput = None;
         self.eta_seconds = None;
         self.detected += other.detected;
         self.hangs += other.hangs;
@@ -658,8 +619,7 @@ impl fmt::Display for TelemetrySnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let pct = 100.0 * self.done() as f64 / self.total.max(1) as f64;
         write!(f, "{}/{} ({pct:.1}%)", self.done(), self.total)?;
-        let rate = self.smoothed_throughput.unwrap_or(self.throughput);
-        write!(f, " | {rate:.1} exp/s")?;
+        write!(f, " | {:.1} exp/s", self.throughput)?;
         match self.eta_seconds {
             Some(eta) if self.done() < self.total => write!(f, ", ETA {eta:.0} s")?,
             _ => {}
@@ -751,6 +711,19 @@ mod tests {
         assert_eq!(snap.pruned, pruned);
         assert!(snap.throughput > 0.0);
         assert!(snap.eta_seconds.is_some());
+    }
+
+    #[test]
+    fn displayed_rate_is_the_exact_throughput() {
+        let w = Workload::algorithm_one();
+        let cfg = CampaignConfig::quick(40, 11);
+        let telemetry = Telemetry::new(40);
+        let _ = run_scifi_campaign_observed(&w, &cfg, &telemetry);
+        let snap = telemetry.snapshot();
+        assert_eq!(snap.smoothed_throughput, None);
+        let shown = format!("{snap}");
+        let rate = format!(" | {:.1} exp/s", snap.throughput);
+        assert!(shown.contains(&rate), "`{shown}` does not show `{rate}`");
     }
 
     #[test]

@@ -441,6 +441,30 @@ pub fn load_store(path: &Path) -> Result<LoadedCampaign, StoreError> {
     })
 }
 
+/// How [`JsonlStore::resume_or_create`] attached to its file.
+#[derive(Debug)]
+pub enum Attached {
+    /// No file existed: a fresh store was created.
+    Created,
+    /// The file was a [`headerless_remnant`]; it was recreated afresh.
+    RecreatedRemnant,
+    /// An existing store was validated and reopened for appending.
+    Resumed(LoadedCampaign),
+}
+
+impl Attached {
+    /// The records already complete, in the
+    /// [`crate::campaign::PreparedCampaign::run_resumed`] form: one slot
+    /// per fault when resumed, empty for a fresh store.
+    #[must_use]
+    pub fn into_records(self) -> Vec<Option<ExperimentRecord>> {
+        match self {
+            Attached::Created | Attached::RecreatedRemnant => Vec::new(),
+            Attached::Resumed(loaded) => loaded.records,
+        }
+    }
+}
+
 struct StoreInner {
     writer: BufWriter<File>,
     /// First append failure, surfaced by [`JsonlStore::finish`]. Appends
@@ -526,6 +550,32 @@ impl JsonlStore {
             },
             loaded,
         ))
+    }
+
+    /// Attaches to the store at `path` for an interrupted-or-fresh run —
+    /// the one attach routine behind `campaign --out F --resume` and a farm
+    /// worker's shard segment. An absent file, or a [`headerless_remnant`]
+    /// (a crash before the header was durable: provably no records), gets
+    /// a fresh store; anything else goes through
+    /// [`JsonlStore::open_resume`], which validates it against `header`,
+    /// cuts a torn tail and returns the records already complete.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`JsonlStore::create`] and [`JsonlStore::open_resume`]
+    /// can return.
+    pub fn resume_or_create(
+        path: &Path,
+        header: &StoreHeader,
+    ) -> Result<(Self, Attached), StoreError> {
+        if !path.exists() {
+            return Ok((Self::create(path, header)?, Attached::Created));
+        }
+        if headerless_remnant(path) {
+            return Ok((Self::create(path, header)?, Attached::RecreatedRemnant));
+        }
+        let (store, loaded) = Self::open_resume(path, header)?;
+        Ok((store, Attached::Resumed(loaded)))
     }
 
     /// Writes and flushes one record line; the single append path shared
@@ -797,6 +847,49 @@ mod tests {
             !headerless_remnant(&path),
             "a missing file is not a remnant"
         );
+    }
+
+    #[test]
+    fn resume_or_create_attaches_absent_remnant_and_torn_stores() {
+        let w = Workload::algorithm_one();
+        let cfg = CampaignConfig::quick(5, 9);
+        let prepared = prepare_campaign(&w, &cfg);
+        let header = StoreHeader::new(w.name(), &cfg, prepared.golden());
+        let path = temp_path("attach");
+
+        // Absent: a fresh store with a durable header.
+        let (store, attached) = JsonlStore::resume_or_create(&path, &header).unwrap();
+        assert!(matches!(attached, Attached::Created), "{attached:?}");
+        let _ = prepared.run(&store);
+        store.finish().unwrap();
+        let full = std::fs::read_to_string(&path).unwrap();
+
+        // Existing with a torn tail: resumed, the torn record absent and
+        // the partial line cut so appends start on a fresh line.
+        let cut = full.trim_end().len() - 7;
+        std::fs::write(&path, &full[..cut]).unwrap();
+        let (store, attached) = JsonlStore::resume_or_create(&path, &header).unwrap();
+        let Attached::Resumed(loaded) = attached else {
+            panic!("an existing store must resume, got {attached:?}");
+        };
+        assert!(loaded.torn_tail);
+        assert_eq!(loaded.done(), 4);
+        store.finish().unwrap();
+        assert!(std::fs::read(&path).unwrap().ends_with(b"\n"));
+
+        // Headerless remnant: recreated afresh, holding only a header.
+        std::fs::write(&path, b"{\"magic\":\"bera-camp").unwrap();
+        let (store, attached) = JsonlStore::resume_or_create(&path, &header).unwrap();
+        assert!(
+            matches!(attached, Attached::RecreatedRemnant),
+            "{attached:?}"
+        );
+        assert!(attached.into_records().is_empty());
+        store.finish().unwrap();
+        let loaded = load_store(&path).unwrap();
+        assert_eq!(loaded.header, header);
+        assert_eq!(loaded.done(), 0);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

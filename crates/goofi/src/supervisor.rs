@@ -26,7 +26,7 @@
 //! attempt 1 (campaign config) ──ok──▶ classified record
 //!        │ panic / deadline
 //!        ▼  (experiment_retried event)
-//! attempt 2 (stride 0, no checkpoints) ──ok──▶ classified record
+//! attempt 2 (stride 0, from reset) ──ok──▶ classified record
 //!        │ panic / deadline
 //!        ▼
 //! quarantine: Outcome::HarnessFailure(cause) record
@@ -58,17 +58,6 @@ pub struct SupervisorConfig {
     /// stalls at chosen indices so the containment path can be tested.
     /// `None` (the default) leaves experiments untouched.
     pub chaos: Option<Arc<ChaosHarness>>,
-}
-
-impl SupervisorConfig {
-    /// Supervision with a per-attempt wall-clock deadline.
-    #[must_use]
-    pub fn with_deadline(deadline: Duration) -> Self {
-        SupervisorConfig {
-            deadline: Some(deadline),
-            ..SupervisorConfig::default()
-        }
-    }
 }
 
 /// Deliberately sabotages chosen experiments, from *inside* the
@@ -236,25 +225,14 @@ pub fn run_supervised(
     observer.experiment_retried(index, cause);
 
     // Graceful degradation: replay from reset with checkpointing disabled,
-    // in case the fast-forward / pruning path is implicated. The
+    // in case the fast-forward / pruning path is implicated. A stride-0
+    // config takes no golden checkpoint and does no convergence check; the
     // checkpoint-equivalence suite proves the stride-0 record is
     // bit-identical to the checkpointed one.
     let mut retry_cfg = cfg.clone();
     retry_cfg.checkpoint_stride = 0;
-    let retry_golden = GoldenRun {
-        checkpoints: Vec::new(),
-        ..golden.clone()
-    };
     let second = attempt(
-        workload,
-        &retry_cfg,
-        &retry_golden,
-        fault,
-        model,
-        detail,
-        index,
-        observer,
-        sup,
+        workload, &retry_cfg, golden, fault, model, detail, index, observer, sup,
     );
     let (cause, retry_message) = match second {
         Ok(record) => return record,

@@ -9,9 +9,7 @@
 //! * [`sampling`] — seeded uniform samplers used to draw fault locations and
 //!   injection times exactly the way GOOFI's set-up phase does;
 //! * [`summary`] — running univariate summaries (mean / variance / extrema)
-//!   used by the benchmark harness;
-//! * [`rate`] — exponentially weighted moving averages used by the live
-//!   campaign telemetry for throughput and ETA estimation.
+//!   used by the benchmark harness.
 //!
 //! # Example
 //!
@@ -29,11 +27,9 @@
 #![warn(missing_docs)]
 
 pub mod proportion;
-pub mod rate;
 pub mod sampling;
 pub mod summary;
 
 pub use proportion::{Confidence, Interval, Proportion};
-pub use rate::Ewma;
 pub use sampling::UniformSampler;
 pub use summary::Summary;

@@ -124,10 +124,10 @@ impl DataCache {
     }
 
     /// Reads the aligned 32-bit word containing `addr`. The address must
-    /// hit — the machine fills first; debug builds panic on a miss.
+    /// hit — the machine fills first; a miss panics.
     #[must_use]
     pub fn read_word(&self, addr: u32) -> u32 {
-        debug_assert!(self.hits(addr), "read_word on a cache miss");
+        assert!(self.hits(addr), "read_word on a cache miss");
         let line = &self.lines[index_of(addr)];
         let off = (addr & 0xC) as usize;
         u32::from_le_bytes([
@@ -139,10 +139,10 @@ impl DataCache {
     }
 
     /// Writes the aligned 32-bit word containing `addr` and marks the line
-    /// dirty. The address must hit — write-allocate fills first; debug
-    /// builds panic on a miss.
+    /// dirty. The address must hit — write-allocate fills first; a miss
+    /// panics.
     pub fn write_word(&mut self, addr: u32, word: u32) {
-        debug_assert!(self.hits(addr), "write_word on a cache miss");
+        assert!(self.hits(addr), "write_word on a cache miss");
         let line = &mut self.lines[index_of(addr)];
         let off = (addr & 0xC) as usize;
         line.data[off..off + 4].copy_from_slice(&word.to_le_bytes());

@@ -5,7 +5,7 @@
 //!          [--faults N] [--seed S] [--iterations K] [--threads T]
 //!          [--parity-cache] [--checkpoint-stride K]
 //!          [--fault-model single|double|intermittent:N|stuck0|stuck1|burst:W]
-//!          [--deadline SECS] [--unsupervised] [--no-prune] [--paranoid N]
+//!          [--deadline SECS] [--no-prune] [--paranoid N]
 //!          [--no-vis]
 //!          [--json FILE] [--out FILE] [--resume] [--progress]
 //!          [--failpoint id=action[@N]]...
@@ -22,10 +22,9 @@
 //! faults; `--progress` prints live telemetry (throughput, ETA,
 //! classification counters, checkpoint hit-rate, prune rate) to stderr.
 //!
-//! Experiments run supervised by default: panics and (with `--deadline`)
+//! Experiments always run supervised: panics and (with `--deadline`)
 //! wall-clock overruns are contained, retried once at stride 0, and
 //! quarantined as harness failures rather than aborting the campaign.
-//! `--unsupervised` disables the containment as a debugging aid.
 //!
 //! Flip-model campaigns (single, double, `burst:W`) prune the fault space
 //! from the golden run's def/use access trace by default (`DESIGN.md`
@@ -50,7 +49,7 @@ use bera::goofi::experiment::{ExperimentRecord, FaultModel, LoopConfig};
 use bera::goofi::failpoints;
 use bera::goofi::farm;
 use bera::goofi::observer::{CampaignObserver, ObserverSet, Telemetry};
-use bera::goofi::store::{headerless_remnant, write_telemetry_sidecar, JsonlStore, StoreHeader};
+use bera::goofi::store::{write_telemetry_sidecar, Attached, JsonlStore, StoreHeader};
 use bera::goofi::table::tabulate;
 use bera::goofi::workload::Workload;
 use std::path::Path;
@@ -69,7 +68,6 @@ struct Args {
     checkpoint_stride: usize,
     fault_model: FaultModel,
     deadline: Option<f64>,
-    unsupervised: bool,
     no_prune: bool,
     no_vis: bool,
     paranoid: usize,
@@ -100,7 +98,6 @@ fn parse_args() -> Result<Args, String> {
         checkpoint_stride: LoopConfig::paper().checkpoint_stride,
         fault_model: FaultModel::SingleBit,
         deadline: None,
-        unsupervised: false,
         no_prune: false,
         no_vis: false,
         paranoid: 0,
@@ -169,7 +166,6 @@ fn parse_args() -> Result<Args, String> {
                 }
                 args.deadline = Some(secs);
             }
-            "--unsupervised" => args.unsupervised = true,
             "--no-prune" => args.no_prune = true,
             "--no-vis" => args.no_vis = true,
             "--paranoid" => {
@@ -231,14 +227,19 @@ fn parse_args() -> Result<Args, String> {
                 .to_string(),
         );
     }
+    // The farm manifest carries neither flag, so a worker would run
+    // without them: refuse rather than drop them silently.
+    if farm_modes > 0 && args.paranoid > 0 {
+        return Err("--paranoid is not supported with farm modes".to_string());
+    }
+    if farm_modes > 0 && args.deadline.is_some() {
+        return Err("--deadline is not supported with farm modes".to_string());
+    }
     if args.worker_id.is_some() && args.worker.is_none() {
         return Err("--worker-id only makes sense with --worker DIR".to_string());
     }
     if args.resume && args.out.is_none() {
         return Err("--resume requires --out FILE (the store to resume from)".to_string());
-    }
-    if args.unsupervised && args.deadline.is_some() {
-        return Err("--deadline requires supervision; drop --unsupervised".to_string());
     }
     if args.no_prune && args.paranoid > 0 {
         return Err("--paranoid cross-checks the pruner; drop --no-prune".to_string());
@@ -262,7 +263,7 @@ fn usage() {
          \t[--faults N] [--seed S] [--iterations K] [--threads T]\n\
          \t[--parity-cache] [--checkpoint-stride K]\n\
          \t[--fault-model single|double|intermittent:N|stuck0|stuck1|burst:W]\n\
-         \t[--deadline SECS] [--unsupervised] [--no-prune] [--paranoid N]\n\
+         \t[--deadline SECS] [--no-prune] [--paranoid N]\n\
          \t[--no-vis]\n\
          \t[--json FILE] [--out FILE] [--resume] [--progress]\n\
          \n\
@@ -275,8 +276,6 @@ fn usage() {
          \tburst:W (random-width cluster of up to W adjacent bits)\n\
          --deadline SECS  wall-clock watchdog per experiment attempt; an\n\
          \toverrun is retried once at stride 0, then quarantined\n\
-         --unsupervised   run experiments bare: a panicking experiment\n\
-         \taborts the whole campaign (debugging aid)\n\
          --no-prune     simulate every fault; disables the def/use\n\
          \taccess-trace pruner (flip-model campaigns classify overwritten/\n\
          \tlatent faults analytically and share one simulation per\n\
@@ -374,14 +373,7 @@ fn main() -> ExitCode {
     cfg.prune = !args.no_prune;
     cfg.vis = !args.no_vis;
     cfg.paranoid = args.paranoid;
-    cfg.supervisor = if args.unsupervised {
-        None
-    } else {
-        Some(bera::goofi::supervisor::SupervisorConfig {
-            deadline: args.deadline.map(Duration::from_secs_f64),
-            ..Default::default()
-        })
-    };
+    cfg.supervisor.deadline = args.deadline.map(Duration::from_secs_f64);
 
     if let Some(dir) = args.farm_init.clone() {
         return farm_init_main(&args, &cfg, Path::new(&dir));
@@ -412,78 +404,59 @@ fn main() -> ExitCode {
 
     // Attach the streaming store (fresh or resumed) before any experiment
     // runs, so every classified record is durable the moment it exists.
-    let mut preloaded: Vec<Option<ExperimentRecord>> = Vec::new();
-    let store = match &args.out {
+    let (store, preloaded) = match &args.out {
         Some(path) => {
             let path = Path::new(path);
             let header = StoreHeader::new(args.workload.name(), &cfg, prepared.golden());
-            if args.resume && path.exists() && headerless_remnant(path) {
+            let attach = if args.resume {
+                JsonlStore::resume_or_create(path, &header)
+            } else {
+                JsonlStore::create(path, &header).map(|store| (store, Attached::Created))
+            };
+            let (store, attached) = match attach {
+                Ok(a) => a,
+                Err(e) => {
+                    let verb = if args.resume { "resume" } else { "create" };
+                    eprintln!("error: cannot {verb} {}: {e}", path.display());
+                    return ExitCode::FAILURE;
+                }
+            };
+            match &attached {
+                Attached::Created => {}
                 // A crash between store creation and a durable header
                 // leaves an empty or newline-free file: provably no
                 // records, so recovery is a fresh start, not a refusal.
-                eprintln!(
+                Attached::RecreatedRemnant => eprintln!(
                     "note: {} is a headerless remnant (crash before the \
                      header was durable); starting the store afresh",
                     path.display()
-                );
-                match JsonlStore::create(path, &header) {
-                    Ok(store) => store,
-                    Err(e) => {
-                        eprintln!("error: cannot recreate {}: {e}", path.display());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            } else if args.resume && path.exists() {
-                match JsonlStore::open_resume(path, &header) {
-                    Ok((store, loaded)) => {
-                        if loaded.torn_tail {
-                            eprintln!(
-                                "note: store had a torn final line (crash mid-write); \
-                                 that fault will be re-run"
-                            );
-                        }
+                ),
+                Attached::Resumed(loaded) => {
+                    if loaded.torn_tail {
                         eprintln!(
-                            "resuming {}: {}/{} records already complete",
-                            path.display(),
-                            loaded.done(),
-                            args.faults
+                            "note: store had a torn final line (crash mid-write); \
+                             that fault will be re-run"
                         );
-                        preloaded = loaded.records;
-                        store
                     }
-                    Err(e) => {
-                        eprintln!("error: cannot resume {}: {e}", path.display());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            } else {
-                match JsonlStore::create(path, &header) {
-                    Ok(store) => store,
-                    Err(e) => {
-                        eprintln!("error: cannot create {}: {e}", path.display());
-                        return ExitCode::FAILURE;
-                    }
+                    eprintln!(
+                        "resuming {}: {}/{} records already complete",
+                        path.display(),
+                        loaded.done(),
+                        args.faults
+                    );
                 }
             }
+            (Some(store), attached.into_records())
         }
-        None => {
-            // No store: run purely in memory as before.
-            let printer = ProgressPrinter::new(&telemetry, Duration::from_millis(500));
-            let mut observers = ObserverSet::new();
-            observers.push(&telemetry);
-            observers.push(&audits);
-            if args.progress {
-                observers.push(&printer);
-            }
-            let result = prepared.run(&observers);
-            return finish(&args, result, &telemetry, &audits);
-        }
+        None => (None, Vec::new()),
     };
 
     telemetry.note_preloaded(preloaded.iter().filter(|r| r.is_some()).count());
     let printer = ProgressPrinter::new(&telemetry, Duration::from_millis(500));
     let mut observers = ObserverSet::new();
-    observers.push(&store);
+    if let Some(store) = &store {
+        observers.push(store);
+    }
     observers.push(&telemetry);
     observers.push(&audits);
     if args.progress {
@@ -491,9 +464,11 @@ fn main() -> ExitCode {
     }
     let result = prepared.run_resumed(preloaded, &observers);
     drop(observers);
-    if let Err(e) = store.finish() {
-        eprintln!("error: result store failed: {e}");
-        return ExitCode::FAILURE;
+    if let Some(store) = store {
+        if let Err(e) = store.finish() {
+            eprintln!("error: result store failed: {e}");
+            return ExitCode::FAILURE;
+        }
     }
     if let Some(path) = &args.out {
         eprintln!("result store written to {path}");

@@ -5,8 +5,8 @@
 //! that per-experiment harness failures — panics and wall-clock deadline
 //! overruns — are contained, retried once at stride 0, and then
 //! quarantined as [`Outcome::HarnessFailure`] records, while every
-//! *healthy* experiment produces a record bit-identical to an
-//! unsupervised run. These tests drive that contract end to end with a
+//! *healthy* experiment produces a record bit-identical to a
+//! sabotage-free run. These tests drive that contract end to end with a
 //! [`ChaosHarness`] sabotaging chosen fault indices inside the
 //! containment boundary: the campaign completes, the streaming store
 //! records the quarantines, telemetry counts retries and failures, and
@@ -32,11 +32,11 @@ fn temp_path(tag: &str) -> PathBuf {
     ))
 }
 
-/// The unsupervised reference: same campaign, no containment.
+/// The reference: same campaign, supervised without sabotage or deadline.
 fn baseline(workload: &Workload, cfg: &CampaignConfig) -> Vec<String> {
-    let mut bare = cfg.clone();
-    bare.supervisor = None;
-    run_scifi_campaign_observed(workload, &bare, &bera_goofi::observer::NullObserver)
+    let mut clean = cfg.clone();
+    clean.supervisor = SupervisorConfig::default();
+    run_scifi_campaign_observed(workload, &clean, &bera_goofi::observer::NullObserver)
         .records
         .iter()
         .map(|r| serde_json::to_string(r).expect("serialize record"))
@@ -54,7 +54,7 @@ fn sabotaged_campaign_completes_with_quarantine_records() {
     // containment boundary of an *executed* experiment; def/use pruning
     // would classify some target indices analytically and dodge the trap.
     cfg.prune = false;
-    cfg.supervisor = Some(SupervisorConfig {
+    cfg.supervisor = SupervisorConfig {
         // Generous for a healthy short(60) experiment (sub-millisecond),
         // far below the chaos stall, so only sabotage trips it.
         deadline: Some(Duration::from_millis(250)),
@@ -62,7 +62,7 @@ fn sabotaged_campaign_completes_with_quarantine_records() {
             ChaosHarness::panicking(panic_indices.iter().copied())
                 .stalling(stall_indices.iter().copied(), Duration::from_secs(1)),
         )),
-    });
+    };
 
     let path = temp_path("sabotage");
     let prepared = prepare_campaign(&workload, &cfg);
@@ -88,7 +88,7 @@ fn sabotaged_campaign_completes_with_quarantine_records() {
             let detail = record.harness_error.as_deref().expect("deadline detail");
             assert!(detail.contains("wall-clock deadline"), "{detail}");
         } else {
-            // Every healthy record is bit-identical to the unsupervised run.
+            // Every healthy record is bit-identical to the clean run.
             assert_eq!(
                 serde_json::to_string(record).expect("serialize record"),
                 reference[i],
@@ -117,10 +117,10 @@ fn one_shot_panic_is_retried_and_classifies_normally() {
     let mut cfg = CampaignConfig::quick(12, 3);
     // Sabotage only fires for simulated experiments — see above.
     cfg.prune = false;
-    cfg.supervisor = Some(SupervisorConfig {
+    cfg.supervisor = SupervisorConfig {
         deadline: None,
         chaos: Some(Arc::new(ChaosHarness::panicking_once([4]))),
-    });
+    };
 
     let telemetry = Telemetry::new(cfg.faults);
     let result = run_scifi_campaign_observed(&workload, &cfg, &telemetry);
@@ -163,10 +163,10 @@ fn parallel_sabotaged_campaign_matches_serial() {
     let mut cfg = CampaignConfig::quick(18, 5);
     // Sabotage only fires for simulated experiments — see above.
     cfg.prune = false;
-    cfg.supervisor = Some(SupervisorConfig {
+    cfg.supervisor = SupervisorConfig {
         deadline: None,
         chaos: Some(Arc::clone(&chaos)),
-    });
+    };
 
     cfg.threads = 1;
     let serial = run_scifi_campaign_observed(&workload, &cfg, &bera_goofi::observer::NullObserver);
