@@ -6,6 +6,7 @@ use crate::experiment::{
     golden_run, run_experiment_with_model, ExperimentRecord, FaultModel, FaultSpec, GoldenRun,
     LoopConfig, Provenance,
 };
+use crate::memo::TrajectoryMemo;
 use crate::observer::{CampaignObserver, NullObserver};
 use crate::planner::{
     analytic_record, paranoid_members, plan_campaign, records_equivalent, replicated_record,
@@ -18,6 +19,7 @@ use bera_tcpu::scan;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Configuration of one SCIFI campaign (GOOFI's set-up phase).
 #[derive(Debug, Clone)]
@@ -45,7 +47,11 @@ pub struct CampaignConfig {
     /// bit-identical either way (`tests/prune_equivalence.rs`), so this
     /// only trades a planning pass for campaign wall-clock. Automatically
     /// bypassed for the re-asserting fault models (intermittent, stuck-at)
-    /// and parity-cache runs.
+    /// and parity-cache runs. With a nonzero checkpoint stride it also
+    /// switches on the trajectory memo ([`crate::memo`]), which ends a run
+    /// on reaching a state an earlier run of the campaign reached
+    /// (`tests/memo_equivalence.rs`); `false` is the plain-simulation
+    /// reference.
     pub prune: bool,
     /// Paranoid cross-check: re-simulate up to this many members of every
     /// planned equivalence class and panic if any simulated outcome
@@ -64,6 +70,12 @@ pub struct CampaignConfig {
 }
 
 impl CampaignConfig {
+    /// A fresh trajectory memo when this configuration uses one: the
+    /// campaign is planned and checkpointed.
+    fn memo(&self) -> Option<TrajectoryMemo> {
+        (self.prune && self.loop_cfg.checkpoint_stride > 0).then(TrajectoryMemo::new)
+    }
+
     /// The paper's campaign shape with a configurable fault count.
     #[must_use]
     pub fn paper(faults: usize, seed: u64) -> Self {
@@ -167,6 +179,9 @@ pub struct PreparedCampaign<'w> {
     cfg: CampaignConfig,
     golden: GoldenRun,
     list: FaultList,
+    /// Shared by every run of this campaign, including every shard a farm
+    /// worker runs through [`PreparedCampaign::run_shard`].
+    memo: Option<TrajectoryMemo>,
 }
 
 /// Executes the campaign's set-up phase: golden reference run plus
@@ -180,6 +195,7 @@ pub fn prepare_campaign<'w>(workload: &'w Workload, cfg: &CampaignConfig) -> Pre
         cfg: cfg.clone(),
         golden,
         list,
+        memo: cfg.memo(),
     }
 }
 
@@ -260,6 +276,7 @@ impl PreparedCampaign<'_> {
             shard,
             completed,
             observer,
+            self.memo.as_ref(),
         )
     }
 
@@ -293,6 +310,7 @@ impl PreparedCampaign<'_> {
             &self.list.faults,
             completed,
             observer,
+            self.memo.as_ref(),
         );
         // The golden run is no longer needed once the experiments are done:
         // move its logged vectors into the result instead of cloning them.
@@ -334,7 +352,8 @@ pub fn run_scifi_campaign_observed(
     prepare_campaign(workload, cfg).run(observer)
 }
 
-/// Runs an explicit fault list (used by ablations and figure scripts).
+/// Runs an explicit fault list (used by ablations and figure scripts),
+/// with a trajectory memo of its own when `cfg` uses one.
 #[must_use]
 pub fn run_fault_list(
     workload: &Workload,
@@ -342,7 +361,16 @@ pub fn run_fault_list(
     golden: &GoldenRun,
     faults: &[FaultSpec],
 ) -> Vec<ExperimentRecord> {
-    run_fault_list_resumed(workload, cfg, golden, faults, Vec::new(), &NullObserver)
+    let memo = cfg.memo();
+    run_fault_list_resumed(
+        workload,
+        cfg,
+        golden,
+        faults,
+        Vec::new(),
+        &NullObserver,
+        memo.as_ref(),
+    )
 }
 
 /// Runs one experiment under the campaign's supervisor (panic isolation,
@@ -354,6 +382,7 @@ fn run_one(
     fault: FaultSpec,
     index: usize,
     observer: &dyn CampaignObserver,
+    memo: Option<&TrajectoryMemo>,
 ) -> ExperimentRecord {
     run_supervised(
         workload,
@@ -365,6 +394,7 @@ fn run_one(
         index,
         observer,
         &cfg.supervisor,
+        memo,
     )
 }
 
@@ -385,12 +415,15 @@ fn run_fault_list_resumed(
     faults: &[FaultSpec],
     completed: Vec<Option<ExperimentRecord>>,
     observer: &dyn CampaignObserver,
+    memo: Option<&TrajectoryMemo>,
 ) -> Vec<ExperimentRecord> {
     let scope = 0..faults.len();
-    run_fault_list_scoped(workload, cfg, golden, faults, scope, completed, observer)
-        .into_iter()
-        .map(|slot| slot.expect("every fault index was run or preloaded"))
-        .collect()
+    run_fault_list_scoped(
+        workload, cfg, golden, faults, scope, completed, observer, memo,
+    )
+    .into_iter()
+    .map(|slot| slot.expect("every fault index was run or preloaded"))
+    .collect()
 }
 
 /// The fault indices of `scope` in the order their analytic and replicated
@@ -421,6 +454,7 @@ fn emission_order(
 /// therefore record provenance are identical whichever process runs which
 /// slice; only in-scope indices execute experiments, emit observer events
 /// and fill slots.
+#[allow(clippy::too_many_arguments)]
 fn run_fault_list_scoped(
     workload: &Workload,
     cfg: &CampaignConfig,
@@ -429,6 +463,7 @@ fn run_fault_list_scoped(
     scope: std::ops::Range<usize>,
     completed: Vec<Option<ExperimentRecord>>,
     observer: &dyn CampaignObserver,
+    memo: Option<&TrajectoryMemo>,
 ) -> Vec<Option<ExperimentRecord>> {
     let mut slots: Vec<Option<ExperimentRecord>> = if completed.is_empty() {
         let mut v = Vec::new();
@@ -439,7 +474,21 @@ fn run_fault_list_scoped(
     };
     let in_scope = |i: usize| scope.contains(&i);
     let plan = plan_campaign(faults, cfg, golden);
+    // The simulation pass skips out-of-scope indices, preloaded indices
+    // and everything the plan resolves without the simulator: analytic
+    // records (emitted first, below) and replicated members (filled in
+    // last).
+    let done: Vec<bool> = slots
+        .iter()
+        .zip(plan.actions())
+        .enumerate()
+        .map(|(i, (slot, action))| {
+            !in_scope(i) || slot.is_some() || !matches!(action, PlanAction::Simulate)
+        })
+        .collect();
+    let remaining = done.iter().filter(|&&d| !d).count();
     observer.plan_computed(&plan.stats());
+    observer.simulations_scheduled(remaining);
     let order = emission_order(cfg, golden, faults, scope.clone());
 
     // Analytic records first: they cost nothing and keep the simulation
@@ -456,24 +505,12 @@ fn run_fault_list_scoped(
         }
     }
 
-    // The simulation pass skips out-of-scope indices, preloaded indices
-    // and everything the plan resolves without the simulator: analytic
-    // records above, replicated members filled in below.
-    let done: Vec<bool> = slots
-        .iter()
-        .zip(plan.actions())
-        .enumerate()
-        .map(|(i, (slot, action))| {
-            !in_scope(i) || slot.is_some() || !matches!(action, PlanAction::Simulate)
-        })
-        .collect();
-    let run_index = |i: usize| run_one(workload, cfg, golden, faults[i], i, observer);
+    let run_index = |i: usize| run_one(workload, cfg, golden, faults[i], i, observer, memo);
     let threads = if cfg.threads == 0 {
         std::thread::available_parallelism().map_or(1, usize::from)
     } else {
         cfg.threads
     };
-    let remaining = done.iter().filter(|&&d| !d).count();
     if threads <= 1 || remaining < 2 {
         for i in 0..faults.len() {
             if done[i] {
@@ -491,50 +528,51 @@ fn run_fault_list_scoped(
         // index with its result, so the merged record order is exactly the
         // fault-list order regardless of which worker ran what. Pre-completed
         // indices (a resume) are skipped by the claim loop.
+        //
+        // Each record lands in its index's shared slot the moment it
+        // classifies (and so the moment observers and the store see it),
+        // so a worker that dies later loses nothing it emitted: the
+        // self-heal pass below re-runs exactly the claims that never
+        // classified, and every index is emitted once.
         let next = AtomicUsize::new(0);
+        let ran: Vec<OnceLock<ExperimentRecord>> =
+            (0..faults.len()).map(|_| OnceLock::new()).collect();
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|_| {
-                    let next = &next;
-                    let done = &done;
-                    let run_index = &run_index;
-                    scope.spawn(move || {
-                        let mut ran = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= faults.len() {
-                                break;
-                            }
-                            if done[i] {
-                                continue;
-                            }
-                            // A `panic` here kills the worker with claims
-                            // in flight (the self-heal path); a `crash`
-                            // kills the process mid-campaign.
-                            crate::fp_nofail!("campaign.claim");
-                            ran.push((i, run_index(i)));
+                    let (next, done, ran, run_index) = (&next, &done, &ran, &run_index);
+                    scope.spawn(move || loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= faults.len() {
+                            break;
                         }
-                        ran
+                        if done[i] {
+                            continue;
+                        }
+                        // A `panic` here kills the worker with claims in
+                        // flight (the self-heal path); a `crash` kills the
+                        // process mid-campaign.
+                        crate::fp_nofail!("campaign.claim");
+                        let fresh = ran[i].set(run_index(i)).is_ok();
+                        debug_assert!(fresh, "fault index {i} was claimed twice");
                     })
                 })
                 .collect();
             // The supervisor contains per-experiment failures, so a worker
-            // can only die of something outside an experiment; its lost
-            // claims are re-run serially below.
+            // can only die of something outside an experiment. Its
+            // unclassified claims are re-run serially below.
             for h in handles {
-                if let Ok(ran) = h.join() {
-                    for (i, record) in ran {
-                        slots[i] = Some(record);
-                    }
-                }
+                let _ = h.join();
             }
         });
         // A crash here models dying after workers died but before their
         // lost claims were re-run: the store keeps every record that
         // classified, and the claims stay a resumable gap.
         crate::fp_nofail!("campaign.self-heal");
-        for i in 0..faults.len() {
-            if slots[i].is_none() && !done[i] {
+        for (i, slot) in ran.into_iter().enumerate() {
+            if let Some(record) = slot.into_inner() {
+                slots[i] = Some(record);
+            } else if !done[i] {
                 slots[i] = Some(run_index(i));
             }
         }
@@ -562,13 +600,15 @@ fn run_fault_list_scoped(
                         faults[representative],
                         representative,
                         &NullObserver,
+                        memo,
                     )
                 }),
             };
             let record = if matches!(rep.outcome, Outcome::HarnessFailure(_)) {
                 // A quarantined representative proves nothing about its
                 // class: fall back to simulating the member itself.
-                run_one(workload, cfg, golden, faults[i], i, observer)
+                observer.simulations_scheduled(1);
+                run_one(workload, cfg, golden, faults[i], i, observer, memo)
             } else {
                 let r = replicated_record(faults[i], rep);
                 observer.experiment_classified(i, &r);

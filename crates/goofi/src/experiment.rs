@@ -2,6 +2,7 @@
 //! inject–run–classify cycle.
 
 use crate::classify::{Classifier, Outcome};
+use crate::memo::{boundary_key, MemoResult, Trail, TrajectoryMemo};
 use crate::observer::{CampaignObserver, NullObserver};
 use crate::workload::Workload;
 use bera_plant::{Engine, Profiles};
@@ -13,6 +14,7 @@ use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The closed-loop configuration an experiment runs under.
@@ -447,6 +449,13 @@ enum DriveEnd {
     Converged {
         iteration: usize,
     },
+    /// At the start of this iteration the run was in the state an earlier
+    /// experiment of the campaign was in at the same boundary (see
+    /// [`crate::memo`]); the rest of the run is that experiment's.
+    Joined {
+        iteration: usize,
+        result: Arc<MemoResult>,
+    },
     /// The wall-clock watchdog deadline expired at an iteration boundary —
     /// a harness abort, not a target outcome.
     DeadlineExceeded,
@@ -571,6 +580,8 @@ struct DriveResult {
     outputs: Vec<u32>,
     speeds: Vec<f64>,
     end: DriveEnd,
+    /// The memo keys the run held at its boundaries (empty without a memo).
+    trail: Trail,
 }
 
 /// What [`drive_from`] does at checkpoint-stride iteration boundaries.
@@ -582,12 +593,14 @@ enum DriveMode<'a> {
     /// Experiment: once the fault has been injected, test for convergence
     /// against the golden checkpoint of the same iteration and stop early
     /// on a proven match. `resident` is the index of the checkpoint the
-    /// machine's dirty-word log was started from, so the convergence
-    /// compare can walk only the words the experiment or the golden run
-    /// touched since (see [`converged`]).
+    /// machine's dirty-word log was started from, so the boundary account
+    /// can walk only the words the experiment or the golden run touched
+    /// since. With a `memo`, the run also ends when an earlier experiment
+    /// held the same account there, and collects its own for publication.
     Prune {
         golden: &'a GoldenRun,
         resident: usize,
+        memo: Option<&'a TrajectoryMemo>,
     },
 }
 
@@ -626,56 +639,12 @@ fn actuate(u: f32) -> f64 {
     }
 }
 
-/// Proven convergence test at an iteration boundary: exact plant and
-/// machine equality first, then the hang-cap guard. `true` means a
-/// from-reset run of this experiment would finish by replaying the golden
-/// tail bit-for-bit, so executing the tail is unnecessary.
-///
-/// Equality is checked directly rather than via the digest: comparing two
-/// resident states is a short-circuiting memcmp (nanoseconds on the common
-/// diverged path), while hashing the faulty state costs a full pass over
-/// memory every checked boundary. The stored digest still identifies the
-/// checkpoint across runs; here it only cross-checks a positive match.
-///
-/// When the machine carries a dirty-word log (the arena path), memory is
-/// compared sparsely: outside `delta_keys` — the golden run's own writes
-/// between the machine's resident checkpoint and `ckpt` — plus the
-/// experiment's dirty set, both images provably still equal the resident
-/// checkpoint, so only the union of the two key sets needs a look.
-fn converged(
-    machine: &Machine,
-    engine: &Engine,
-    ckpt: &Checkpoint,
-    golden: &GoldenRun,
-    instr_cap: u64,
-    delta_keys: &[u32],
-) -> bool {
-    if *engine != ckpt.engine {
-        return false;
-    }
-    let state_eq = match machine.state_equals_sparse(&ckpt.machine, delta_keys) {
-        Some(eq) => {
-            debug_assert_eq!(
-                eq,
-                machine.state_equals(&ckpt.machine),
-                "sparse convergence equality must agree with the full walk"
-            );
-            eq
-        }
-        None => machine.state_equals(&ckpt.machine),
-    };
-    if !state_eq {
-        return false;
-    }
-    debug_assert_eq!(
-        loop_digest(machine, engine),
-        ckpt.digest,
-        "equal states must agree on the checkpoint digest"
-    );
-    // The golden tail from this checkpoint executes a known number of
-    // further instructions. Prune only if the faulty run's counter stays
-    // under the hang cap for the whole tail; otherwise keep executing so a
-    // genuine from-reset Hang classification is reproduced exactly.
+/// The hang-cap guard of convergence pruning. The golden tail from `ckpt`
+/// executes a known number of further instructions; prune only if the
+/// faulty run's counter stays under the hang cap for the whole tail, else
+/// keep executing so a genuine from-reset Hang classification is
+/// reproduced exactly.
+fn tail_fits(machine: &Machine, ckpt: &Checkpoint, golden: &GoldenRun, instr_cap: u64) -> bool {
     let tail = golden.total_instructions - ckpt.machine.instr_count();
     machine.instr_count() + tail <= instr_cap
 }
@@ -709,17 +678,26 @@ fn drive_from(
     // Accumulated golden data-memory write keys from the machine's resident
     // checkpoint up to the boundary under test, extended lazily from
     // `GoldenRun::ckpt_data_deltas` as the drive advances. Only the Prune
-    // mode uses these (see `converged`). The same hot words repeat in
-    // window after window, so a membership bitmap (lazily sized to the
-    // data-word universe) keeps the key list duplicate-free: the sparse
-    // convergence compare then walks each distinct word once and the list
-    // stays bounded by the universe instead of growing per window.
+    // mode uses these: outside them and the machine's own dirty set, the
+    // faulty and checkpoint images provably still agree, so the boundary
+    // account (`boundary_key`) walks only their union. The same hot words
+    // repeat in window after window, so a membership bitmap (lazily sized
+    // to the data-word universe) keeps the key list duplicate-free and
+    // bounded by the universe instead of growing per window.
     let mut golden_delta_keys: Vec<u32> = Vec::new();
     let mut delta_seen: Vec<u64> = Vec::new();
     let mut delta_cursor = match &mode {
         DriveMode::Prune { resident, .. } => *resident,
         _ => 0,
     };
+    // Prune-mode bookkeeping: a reusable buffer for the boundary account,
+    // the memo keys this run held, and how many logged outputs are known
+    // to equal the golden ones (the prefix from the checkpoint is the
+    // golden run's own).
+    let mut trail = Trail::default();
+    let mut golden_upto = outputs.len();
+    let mut off_golden = false;
+    let mut key: Vec<u64> = Vec::new();
     // Set when execution sits at the start of iteration `k` (function entry
     // and after every completed iteration); cleared once the boundary has
     // been processed so mid-iteration injection resumes don't repeat it.
@@ -738,6 +716,7 @@ fn drive_from(
                         outputs,
                         speeds,
                         end: DriveEnd::DeadlineExceeded,
+                        trail,
                     };
                 }
             }
@@ -747,7 +726,7 @@ fn drive_from(
                     DriveMode::Capture(into) => {
                         into.push(Checkpoint::capture(k, machine, &engine));
                     }
-                    DriveMode::Prune { golden, .. } => {
+                    DriveMode::Prune { golden, memo, .. } => {
                         // Convergence is only meaningful once the fault has
                         // been delivered in full: before injection the run
                         // *is* the golden run, and while re-assertions are
@@ -775,19 +754,56 @@ fn drive_from(
                                         }
                                         delta_cursor += 1;
                                     }
-                                    if converged(
-                                        machine,
-                                        &engine,
-                                        ckpt,
-                                        golden,
-                                        instr_cap,
-                                        &golden_delta_keys,
-                                    ) {
-                                        return DriveResult {
-                                            outputs,
-                                            speeds,
-                                            end: DriveEnd::Converged { iteration: k },
+                                    // Both tests need the plant to equal
+                                    // the checkpoint's, and a diverged
+                                    // run's plant usually does not.
+                                    if engine == ckpt.engine {
+                                        if !off_golden {
+                                            off_golden = outputs[golden_upto..]
+                                                != golden.outputs[golden_upto..outputs.len()];
+                                            golden_upto = outputs.len();
+                                        }
+                                        // One exact account of how the
+                                        // machine differs from the
+                                        // checkpoint serves both: empty is
+                                        // proven convergence (the golden
+                                        // tail replays bit-for-bit), any
+                                        // other is the memo key.
+                                        boundary_key(
+                                            machine,
+                                            &ckpt.machine,
+                                            &golden_delta_keys,
+                                            &mut key,
+                                        );
+                                        let memo = memo.filter(|_| !off_golden);
+                                        let end = if key[1..] == [0]
+                                            && tail_fits(machine, ckpt, golden, instr_cap)
+                                        {
+                                            debug_assert_eq!(
+                                                loop_digest(machine, &engine),
+                                                ckpt.digest,
+                                                "equal states must agree on the checkpoint digest"
+                                            );
+                                            Some(DriveEnd::Converged { iteration: k })
+                                        } else {
+                                            memo.and_then(|m| m.lookup(&key, k)).map(|result| {
+                                                DriveEnd::Joined {
+                                                    iteration: k,
+                                                    result,
+                                                }
+                                            })
                                         };
+                                        if let Some(end) = end {
+                                            return DriveResult {
+                                                outputs,
+                                                speeds,
+                                                end,
+                                                trail,
+                                            };
+                                        }
+                                        if memo.is_some() {
+                                            trail.record(&key, k, stride);
+                                        }
                                     }
                                 }
                             }
@@ -821,6 +837,7 @@ fn drive_from(
                     outputs,
                     speeds,
                     end: DriveEnd::Trapped(trap),
+                    trail,
                 };
             }
             RunExit::Budget => match injector.as_mut() {
@@ -833,6 +850,7 @@ fn drive_from(
                         outputs,
                         speeds,
                         end: DriveEnd::Hang,
+                        trail,
                     };
                 }
             },
@@ -842,6 +860,7 @@ fn drive_from(
         outputs,
         speeds,
         end: DriveEnd::Completed,
+        trail,
     }
 }
 
@@ -885,7 +904,9 @@ pub fn golden_run(workload: &Workload, cfg: &LoopConfig) -> GoldenRun {
         DriveEnd::Completed => {}
         DriveEnd::Trapped(t) => panic!("golden run trapped: {t:?}"),
         DriveEnd::Hang => panic!("golden run exceeded the instruction cap"),
-        DriveEnd::Converged { .. } => unreachable!("golden run never prunes"),
+        DriveEnd::Converged { .. } | DriveEnd::Joined { .. } => {
+            unreachable!("golden run never prunes")
+        }
         DriveEnd::DeadlineExceeded => unreachable!("golden run has no deadline"),
     }
     let trace = machine
@@ -1022,6 +1043,7 @@ pub fn run_experiment_with_model(
         0,
         &NullObserver,
         None,
+        None,
     ) {
         Ok(record) => record,
         Err(WatchdogExpired) => unreachable!("no deadline was set"),
@@ -1036,13 +1058,16 @@ pub fn run_experiment_with_model(
 pub(crate) struct WatchdogExpired;
 
 /// Like [`run_experiment_with_model`], reporting each life-cycle stage
-/// (started, injected, detected / spliced, classified) to `observer` as it
-/// happens, and aborting with [`WatchdogExpired`] if the wall-clock
-/// `deadline` passes before the run finishes. `index` is the fault-list
-/// index carried on every event so observers can correlate them; it does
-/// not affect execution. The deadline is checked at iteration boundaries
-/// only, so target execution (and hence every classified record) stays
-/// bit-deterministic regardless of host timing.
+/// (started, injected, detected / spliced / joined, classified) to
+/// `observer` as it happens, and aborting with [`WatchdogExpired`] if the
+/// wall-clock `deadline` passes before the run finishes. `index` is the
+/// fault-list index carried on every event so observers can correlate
+/// them; it does not affect execution. The deadline is checked at
+/// iteration boundaries only, so target execution (and hence every
+/// classified record) stays bit-deterministic regardless of host timing.
+/// With a `memo` (and a nonzero stride) the run may end by joining an
+/// earlier experiment's trajectory, and publishes its own once it
+/// classifies; the record is the same either way.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_experiment_watchdog(
     workload: &Workload,
@@ -1054,6 +1079,7 @@ pub(crate) fn run_experiment_watchdog(
     index: usize,
     observer: &dyn CampaignObserver,
     deadline: Option<Instant>,
+    memo: Option<&TrajectoryMemo>,
 ) -> Result<ExperimentRecord, WatchdogExpired> {
     let location = scan::catalog()[fault.location_index];
     let injector = FaultInjector::new(model, fault);
@@ -1130,6 +1156,7 @@ pub(crate) fn run_experiment_watchdog(
         DriveMode::Prune {
             golden,
             resident: ckpt_index.unwrap_or(0),
+            memo,
         },
         &mut || observer.fault_injected(index, fault),
     );
@@ -1141,7 +1168,7 @@ pub(crate) fn run_experiment_watchdog(
             .saturating_sub(start_block_instructions),
     );
     let record = classify_drive(
-        result, &machine, golden, fault, location, detail, index, observer,
+        result, &machine, golden, fault, location, detail, index, observer, memo,
     );
     if let Some(ci) = ckpt_index {
         arena_release(machine, golden, ci);
@@ -1149,8 +1176,9 @@ pub(crate) fn run_experiment_watchdog(
     record
 }
 
-/// Classifies a finished drive into the final [`ExperimentRecord`] and
-/// fires the detection / splice / classified observer events.
+/// Classifies a finished drive into the final [`ExperimentRecord`], fires
+/// the detection / splice / join / classified observer events, and
+/// publishes the run's memo trail under its result.
 #[allow(clippy::too_many_arguments)]
 fn classify_drive(
     result: DriveResult,
@@ -1161,20 +1189,52 @@ fn classify_drive(
     detail: bool,
     index: usize,
     observer: &dyn CampaignObserver,
+    memo: Option<&TrajectoryMemo>,
 ) -> Result<ExperimentRecord, WatchdogExpired> {
     let classifier = Classifier::paper();
     let DriveResult {
-        mut outputs, end, ..
+        mut outputs,
+        end,
+        trail,
+        ..
     } = result;
     let mut detection_latency = None;
     let mut pruned_at = None;
+    let mut trap_at = None;
+    let mut joined = None;
     let (outcome, max_deviation, first_strong) = match end {
         DriveEnd::DeadlineExceeded => return Err(WatchdogExpired),
         DriveEnd::Trapped(trap) => {
             let latency = trap.at_instruction.saturating_sub(fault.inject_at);
             observer.error_detected(index, trap.mechanism, latency);
             detection_latency = Some(latency);
+            trap_at = Some(trap.at_instruction);
             (Outcome::Detected(trap.mechanism), 0.0, None)
+        }
+        DriveEnd::Joined { iteration, result } => {
+            // The earlier run was in this run's exact state at
+            // `iteration`, with the same instruction count and a golden
+            // output prefix, so its outputs, trap instant and splice point
+            // are this run's too. Fire the events its record implies.
+            observer.memo_joined(index, iteration);
+            if let (Outcome::Detected(mechanism), Some(at)) = (result.outcome, result.trap_at) {
+                let latency = at.saturating_sub(fault.inject_at);
+                observer.error_detected(index, mechanism, latency);
+                detection_latency = Some(latency);
+            }
+            if let Some(p) = result.pruned_at {
+                observer.convergence_spliced(index, p);
+            }
+            pruned_at = result.pruned_at;
+            trap_at = result.trap_at;
+            outputs = result.outputs.clone().unwrap_or_default();
+            let fields = (
+                result.outcome,
+                result.max_deviation,
+                result.first_strong_iteration,
+            );
+            joined = Some(result);
+            fields
         }
         DriveEnd::Hang => (Outcome::Hang, 0.0, None),
         DriveEnd::Completed => {
@@ -1226,6 +1286,19 @@ fn classify_drive(
         provenance: Provenance::Simulated,
         harness_error: None,
     };
+    if let Some(memo) = memo.filter(|_| !trail.is_empty()) {
+        let result = joined.unwrap_or_else(|| {
+            Arc::new(MemoResult {
+                outcome: record.outcome,
+                max_deviation: record.max_deviation,
+                first_strong_iteration: record.first_strong_iteration,
+                pruned_at: record.pruned_at,
+                trap_at,
+                outputs: record.outputs.clone(),
+            })
+        });
+        memo.publish(trail, &result);
+    }
     observer.experiment_classified(index, &record);
     Ok(record)
 }
@@ -1429,6 +1502,101 @@ mod tests {
         let b = run_experiment(&w, &cfg, &golden, f, false);
         assert_eq!(a.outcome, b.outcome);
         assert_eq!(a.max_deviation, b.max_deviation);
+    }
+
+    /// The output gate of the trajectory memo: a run whose outputs have
+    /// left the golden ones neither joins nor publishes, even where its
+    /// plant and its machine difference equal those of a run that stayed
+    /// on the golden outputs. Fixture: iteration 0's golden actuator
+    /// command is +0.0, so flipping port U's sign bit just before the
+    /// harness reads it logs -0.0 — another output word — while the plant
+    /// sees the same throttle; flipping bit 0 of the unused output port 3
+    /// too (an adjacent double-bit upset) gives the off-golden run the same
+    /// persistent difference as a run that flips only that bit.
+    #[test]
+    fn a_run_off_the_golden_outputs_neither_joins_nor_publishes() {
+        #[derive(Default)]
+        struct Joins(std::sync::atomic::AtomicUsize);
+        impl CampaignObserver for Joins {
+            fn memo_joined(&self, _index: usize, _iteration: usize) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let w = Workload::algorithm_one();
+        let cfg = LoopConfig::short(24);
+        let golden = golden_run(&w, &cfg);
+        assert_eq!(golden.outputs[0], 0.0f32.to_bits());
+        // One instruction before iteration 0 yields: the controller has
+        // written port U and the harness has not read it yet.
+        let mut m = Machine::new();
+        m.load_program(w.program());
+        m.set_cache_parity(cfg.parity_cache);
+        set_ports(&mut m, &cfg, 0, &cfg.engine);
+        assert_eq!(m.run(WORST_CASE_ITERATION_INSTRUCTIONS), RunExit::Yield);
+        let inject_at = m.instr_count() - 1;
+
+        let port = |port: u8, bit: u8| find_location(|l| *l == BitLocation::PortOut { port, bit });
+        let spare = port(3, 0);
+        let off = FaultSpec {
+            location_index: port(PORT_U as u8, 31),
+            inject_at,
+        };
+        let off_model = FaultModel::AdjacentDoubleBit;
+        assert_eq!(off_model.locations(off.location_index)[1], spare);
+        let on = FaultSpec {
+            location_index: spare,
+            inject_at,
+        };
+        let runs = [(off, off_model), (on, FaultModel::SingleBit)];
+        let plain = |(fault, model): (FaultSpec, FaultModel)| {
+            run_experiment_with_model(&w, &cfg, &golden, fault, model, true)
+        };
+        let (off_plain, on_plain) = (plain(runs[0]), plain(runs[1]));
+        assert_eq!(
+            off_plain.outputs.as_ref().unwrap()[0],
+            (-0.0f32).to_bits(),
+            "the off-golden run's command must leave the golden output"
+        );
+        assert_eq!(on_plain.outputs.as_deref(), Some(&golden.outputs[..]));
+        assert_eq!(on_plain.outcome, Outcome::Latent);
+        assert_eq!(on_plain.pruned_at, None, "the spare port bit persists");
+
+        let json = |r: &ExperimentRecord| serde_json::to_string(r).expect("records serialize");
+        for order in [[runs[0], runs[1]], [runs[1], runs[0]]] {
+            let memo = TrajectoryMemo::new();
+            let joins = Joins::default();
+            for (fault, model) in order {
+                let record = run_experiment_watchdog(
+                    &w,
+                    &cfg,
+                    &golden,
+                    fault,
+                    model,
+                    true,
+                    0,
+                    &joins,
+                    None,
+                    Some(&memo),
+                )
+                .expect("no deadline");
+                assert_eq!(json(&record), json(&plain((fault, model))), "{model}");
+            }
+            assert_eq!(joins.0.load(Ordering::Relaxed), 0, "no run may join");
+            // The on-golden run did publish: a second run of it joins.
+            let _ = run_experiment_watchdog(
+                &w,
+                &cfg,
+                &golden,
+                on,
+                FaultModel::SingleBit,
+                true,
+                0,
+                &joins,
+                None,
+                Some(&memo),
+            );
+            assert_eq!(joins.0.load(Ordering::Relaxed), 1);
+        }
     }
 }
 

@@ -44,8 +44,8 @@ use crate::campaign::{prepare_campaign, CampaignConfig};
 use crate::experiment::{ExperimentRecord, FaultModel, LoopConfig};
 use crate::observer::{CampaignObserver, ObserverSet, Telemetry, TelemetrySnapshot};
 use crate::store::{
-    headerless_remnant, load_store, telemetry_sidecar_path, write_telemetry_sidecar, JsonlStore,
-    LoadedCampaign, StoreError, StoreHeader,
+    headerless_remnant, load_store_with, telemetry_sidecar_path, write_telemetry_sidecar,
+    Duplicates, JsonlStore, LoadedCampaign, StoreError, StoreHeader,
 };
 use crate::workload::Workload;
 
@@ -620,9 +620,9 @@ fn sweep_stale(root: &Path, index: usize) -> Result<(), FarmError> {
 /// Store observer that stops appending once lease ownership is lost: the
 /// worker cannot interrupt a running shard, but it can guarantee that at
 /// most the records already in flight reach a segment another worker may
-/// now own. Merged duplicates are byte-identical by construction and the
-/// loader is last-wins, so the overlap window is harmless — fencing just
-/// keeps it from growing.
+/// now own. Such a repeat is byte-identical by construction and the segment
+/// loader accepts exactly that ([`Duplicates::IdenticalOnly`]), so the
+/// overlap window is harmless — fencing just keeps it from growing.
 struct FencedStore<'a> {
     store: &'a JsonlStore,
     lost: &'a AtomicBool,
@@ -755,7 +755,8 @@ fn run_claimed_shard(
 
     // Attach the segment store with the single-process `--resume` routine;
     // a segment may only hold its own shard's indices.
-    let (store, attached) = JsonlStore::resume_or_create(&seg, &manifest.header)?;
+    let (store, attached) =
+        JsonlStore::resume_or_create(&seg, &manifest.header, Duplicates::IdenticalOnly)?;
     let mut preloaded = attached.into_records();
     for (i, slot) in preloaded.iter().enumerate() {
         if slot.is_some() && !shard.contains(i) {
@@ -947,7 +948,7 @@ pub fn assemble_farm(root: &Path) -> Result<FarmAssembly, FarmError> {
         let mut count = 0;
         let mut torn = false;
         if seg.exists() && !headerless_remnant(&seg) {
-            let loaded = load_store(&seg)?;
+            let loaded = load_store_with(&seg, Duplicates::IdenticalOnly)?;
             loaded.header.validate_against(&manifest.header)?;
             torn = loaded.torn_tail;
             if done && torn {
@@ -1101,6 +1102,7 @@ pub fn tend_once(root: &Path, manifest: &FarmManifest) -> Result<usize, FarmErro
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::load_store;
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()

@@ -50,6 +50,7 @@ pub mod classify;
 pub mod experiment;
 pub mod failpoints;
 pub mod farm;
+pub mod memo;
 pub mod observer;
 pub mod planner;
 pub mod propagation;

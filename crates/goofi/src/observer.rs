@@ -15,7 +15,7 @@ use crate::experiment::{ExperimentRecord, FaultSpec};
 use crate::planner::PlanStats;
 use bera_tcpu::edm::ErrorMechanism;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Hooks into the life cycle of a SCIFI campaign.
@@ -38,6 +38,15 @@ pub trait CampaignObserver: Sync {
     /// after [`fault_list_sampled`](CampaignObserver::fault_list_sampled)).
     fn plan_computed(&self, stats: &PlanStats) {
         let _ = stats;
+    }
+
+    /// The runner is about to simulate `count` more experiments that each
+    /// emit a record: once per run, the plan-`Simulate` indices of its
+    /// scope that hold no preloaded record, then one at a time for every
+    /// replicated member that falls back to simulation because its
+    /// representative was quarantined. The ETA's unit of remaining work.
+    fn simulations_scheduled(&self, count: usize) {
+        let _ = count;
     }
 
     /// Never called; a no-op kept only for `campaign_bench`, which overrides it.
@@ -84,6 +93,16 @@ pub trait CampaignObserver: Sync {
     /// Convergence pruning proved the run rejoined the golden trajectory
     /// and spliced the golden tail at `iteration`.
     fn convergence_spliced(&self, index: usize, iteration: usize) {
+        let _ = (index, iteration);
+    }
+
+    /// The run reached, at the start of `iteration`, a state an earlier
+    /// experiment of the campaign had at the same boundary, and took that
+    /// experiment's result instead of simulating on (see
+    /// [`crate::memo`]). Fires before the detection / splice events the
+    /// taken-over record implies. Which run joins which depends on the
+    /// thread schedule; the records do not.
+    fn memo_joined(&self, index: usize, iteration: usize) {
         let _ = (index, iteration);
     }
 
@@ -165,6 +184,12 @@ impl CampaignObserver for ObserverSet<'_> {
         }
     }
 
+    fn simulations_scheduled(&self, count: usize) {
+        for o in &self.observers {
+            o.simulations_scheduled(count);
+        }
+    }
+
     fn experiment_started(&self, index: usize, fault: FaultSpec, fast_forward_from: Option<usize>) {
         for o in &self.observers {
             o.experiment_started(index, fault, fast_forward_from);
@@ -198,6 +223,12 @@ impl CampaignObserver for ObserverSet<'_> {
     fn convergence_spliced(&self, index: usize, iteration: usize) {
         for o in &self.observers {
             o.convergence_spliced(index, iteration);
+        }
+    }
+
+    fn memo_joined(&self, index: usize, iteration: usize) {
+        for o in &self.observers {
+            o.memo_joined(index, iteration);
         }
     }
 
@@ -245,9 +276,14 @@ pub struct Telemetry {
     harness_failures: AtomicUsize,
     retried: AtomicUsize,
     pruned: AtomicUsize,
+    memo_joined: AtomicUsize,
     fast_forwarded: AtomicUsize,
     analytic: AtomicUsize,
     replicated: AtomicUsize,
+    /// Whether the runner announced its simulations, and how many (the
+    /// ETA's unit of remaining work).
+    scheduled_any: AtomicBool,
+    scheduled: AtomicUsize,
     plan_micros: AtomicUsize,
     vis_latent: AtomicUsize,
     vis_overwritten: AtomicUsize,
@@ -279,9 +315,12 @@ impl Telemetry {
             harness_failures: AtomicUsize::new(0),
             retried: AtomicUsize::new(0),
             pruned: AtomicUsize::new(0),
+            memo_joined: AtomicUsize::new(0),
             fast_forwarded: AtomicUsize::new(0),
             analytic: AtomicUsize::new(0),
             replicated: AtomicUsize::new(0),
+            scheduled_any: AtomicBool::new(false),
+            scheduled: AtomicUsize::new(0),
             plan_micros: AtomicUsize::new(0),
             vis_latent: AtomicUsize::new(0),
             vis_overwritten: AtomicUsize::new(0),
@@ -304,6 +343,13 @@ impl Telemetry {
     }
 
     /// A point-in-time copy of all counters with derived rates.
+    ///
+    /// The ETA extrapolates the remaining *simulations* (as announced by
+    /// [`CampaignObserver::simulations_scheduled`]) at the simulated-record
+    /// rate: analytic and replicated records cost next to nothing, so
+    /// counting them as remaining work (or letting them inflate the rate)
+    /// misreads the time left by orders of magnitude. It is `None` until
+    /// simulations have been announced and one has classified.
     #[must_use]
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let load = |c: &AtomicUsize| c.load(Ordering::Relaxed);
@@ -311,8 +357,17 @@ impl Telemetry {
         let preloaded = load(&self.preloaded);
         let elapsed = self.started.elapsed().as_secs_f64();
         let throughput = completed as f64 / elapsed.max(1e-9);
-        let remaining = self.total.saturating_sub(completed + preloaded);
-        let eta_seconds = (throughput > 0.0).then(|| remaining as f64 / throughput);
+        let simulated = completed
+            .saturating_sub(load(&self.analytic))
+            .saturating_sub(load(&self.replicated));
+        let pending = load(&self.scheduled).saturating_sub(simulated);
+        let eta_seconds = if !self.scheduled_any.load(Ordering::Relaxed) {
+            None
+        } else if pending == 0 {
+            Some(0.0)
+        } else {
+            (simulated > 0).then(|| pending as f64 * elapsed.max(1e-9) / simulated as f64)
+        };
         TelemetrySnapshot {
             total: self.total,
             preloaded,
@@ -330,6 +385,7 @@ impl Telemetry {
             harness_failures: load(&self.harness_failures),
             retried: load(&self.retried),
             pruned: load(&self.pruned),
+            memo_joined: load(&self.memo_joined),
             fast_forwarded: load(&self.fast_forwarded),
             analytic: load(&self.analytic),
             replicated: load(&self.replicated),
@@ -368,6 +424,10 @@ impl CampaignObserver for Telemetry {
         self.pruned.fetch_add(1, Ordering::Relaxed);
     }
 
+    fn memo_joined(&self, _index: usize, _iteration: usize) {
+        self.memo_joined.fetch_add(1, Ordering::Relaxed);
+    }
+
     fn plan_computed(&self, stats: &PlanStats) {
         let add = |c: &AtomicUsize, n: usize| {
             c.fetch_add(n, Ordering::Relaxed);
@@ -381,6 +441,11 @@ impl CampaignObserver for Telemetry {
         add(&self.sig_overwritten, stats.sig_overwritten);
         add(&self.value_resolved, stats.value_resolved);
         add(&self.vis_replicated, stats.vis_replicated);
+    }
+
+    fn simulations_scheduled(&self, count: usize) {
+        self.scheduled.fetch_add(count, Ordering::Relaxed);
+        self.scheduled_any.store(true, Ordering::Relaxed);
     }
 
     fn arena_restored(&self, copied_words: usize, full_clone: bool) {
@@ -445,7 +510,8 @@ pub struct TelemetrySnapshot {
     pub throughput: f64,
     /// Always `None`. Kept only for `campaign_bench`, which reads it.
     pub smoothed_throughput: Option<f64>,
-    /// Estimated seconds to completion at the overall throughput.
+    /// Estimated seconds to completion: the plan's remaining simulations
+    /// at the simulated-record rate (see [`Telemetry::snapshot`]).
     pub eta_seconds: Option<f64>,
     /// Detected errors (an EDM fired).
     pub detected: usize,
@@ -465,6 +531,14 @@ pub struct TelemetrySnapshot {
     pub retried: usize,
     /// Experiments ended early by convergence pruning.
     pub pruned: usize,
+    /// Experiments ended early by joining an earlier experiment's
+    /// trajectory (the trajectory memo). Which run joins which depends on
+    /// the thread schedule and, in a farm, on which shards a worker ran, so
+    /// unlike the other counters it is not expected to agree between a
+    /// single-process run and a farm run of the same campaign. Absent from
+    /// sidecars written before the memo existed, where it reads 0.
+    #[serde(default)]
+    pub memo_joined: usize,
     /// Experiments that fast-forwarded past at least one checkpoint.
     pub fast_forwarded: usize,
     /// Records classified analytically from the golden access trace (no
@@ -598,6 +672,7 @@ impl TelemetrySnapshot {
         self.harness_failures += other.harness_failures;
         self.retried += other.retried;
         self.pruned += other.pruned;
+        self.memo_joined += other.memo_joined;
         self.fast_forwarded += other.fast_forwarded;
         self.analytic += other.analytic;
         self.replicated += other.replicated;
@@ -634,9 +709,10 @@ impl fmt::Display for TelemetrySnapshot {
         }
         write!(
             f,
-            " | ff {:.0}% prune {:.0}%",
+            " | ff {:.0}% prune {:.0}% memo {}",
             100.0 * self.checkpoint_hit_rate(),
-            100.0 * self.prune_rate()
+            100.0 * self.prune_rate(),
+            self.memo_joined
         )?;
         if self.analytic > 0 || self.replicated > 0 {
             write!(
@@ -724,6 +800,62 @@ mod tests {
         let shown = format!("{snap}");
         let rate = format!(" | {:.1} exp/s", snap.throughput);
         assert!(shown.contains(&rate), "`{shown}` does not show `{rate}`");
+    }
+
+    #[test]
+    fn eta_extrapolates_the_simulations_left_not_the_records_left() {
+        let t = Telemetry::new(100);
+        t.plan_computed(&PlanStats::default());
+        assert_eq!(t.snapshot().eta_seconds, None, "no simulations announced");
+        t.simulations_scheduled(10);
+        // Five of the ten planned simulations have classified; the other
+        // 90 faults are analytic records not yet emitted.
+        let location = bera_tcpu::scan::catalog()[0];
+        let record = ExperimentRecord {
+            fault: FaultSpec {
+                location_index: 0,
+                inject_at: 1,
+            },
+            part: location.part(),
+            location,
+            outcome: Outcome::Latent,
+            max_deviation: 0.0,
+            first_strong_iteration: None,
+            detection_latency: None,
+            outputs: None,
+            pruned_at: None,
+            provenance: crate::experiment::Provenance::Simulated,
+            harness_error: None,
+        };
+        for i in 0..5 {
+            t.experiment_classified(i, &record);
+        }
+        let snap = t.snapshot();
+        let eta = snap.eta_seconds.expect("simulations have classified");
+        // Five simulations left at five per elapsed: one elapsed more.
+        assert!(
+            (eta - snap.elapsed_seconds).abs() <= 1e-6 * snap.elapsed_seconds.max(1e-3),
+            "ETA {eta} s after {} s with half the simulations done",
+            snap.elapsed_seconds
+        );
+        for i in 5..10 {
+            t.experiment_classified(i, &record);
+        }
+        assert_eq!(t.snapshot().eta_seconds, Some(0.0), "every simulation done");
+        // Two replicated members whose representative was quarantined fall
+        // back to simulation: announced as they start, they are work left.
+        t.simulations_scheduled(2);
+        let snap = t.snapshot();
+        let eta = snap.eta_seconds.expect("simulations have classified");
+        assert!(
+            (eta - 0.2 * snap.elapsed_seconds).abs() <= 1e-6 * snap.elapsed_seconds.max(1e-3),
+            "ETA {eta} s after {} s with two of twelve simulations left",
+            snap.elapsed_seconds
+        );
+        for i in 10..12 {
+            t.experiment_classified(i, &record);
+        }
+        assert_eq!(t.snapshot().eta_seconds, Some(0.0));
     }
 
     #[test]

@@ -351,20 +351,44 @@ impl LoadedCampaign {
     }
 }
 
+/// What loading a store does with a fault index that a second valid line
+/// records again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Duplicates {
+    /// Refuse the store. A single-process campaign writes each index once,
+    /// so a repeat means two runs emitted it.
+    Refuse,
+    /// Accept a byte-identical repeat and refuse any other. A farm shard's
+    /// segment may repeat a record: a worker fenced out of its lease can
+    /// still flush the record it had in flight after the new owner re-ran
+    /// that fault, and determinism makes the two lines identical.
+    IdenticalOnly,
+}
+
 /// Reads and verifies a store file: header line, then every record line.
 ///
 /// A torn final line (crash mid-write) is tolerated and reported via
 /// [`LoadedCampaign::torn_tail`]; its index is simply absent from
-/// `records`. Corruption anywhere else is an error. When the same index
-/// appears on several valid lines (e.g. a resume raced a flush), the last
-/// occurrence wins.
+/// `records`. Corruption anywhere else is an error, and so is a fault index
+/// recorded on two valid lines: the error names the index and both lines.
 ///
 /// # Errors
 ///
 /// [`StoreError::Io`] on read failure, [`StoreError::Corrupt`] on a bad
-/// header or a bad non-final line, [`StoreError::HeaderMismatch`] when the
-/// magic or version is wrong.
+/// header, a bad non-final line or a repeated index,
+/// [`StoreError::HeaderMismatch`] when the magic or version is wrong.
 pub fn load_store(path: &Path) -> Result<LoadedCampaign, StoreError> {
+    load_store_with(path, Duplicates::Refuse)
+}
+
+/// [`load_store`] with an explicit policy for repeated indices (a farm
+/// segment accepts byte-identical ones, see [`Duplicates`]).
+///
+/// # Errors
+///
+/// As [`load_store`]; a repeat the policy does not accept is
+/// [`StoreError::Corrupt`].
+pub fn load_store_with(path: &Path, duplicates: Duplicates) -> Result<LoadedCampaign, StoreError> {
     let bytes = std::fs::read(path)?;
     let ends_with_newline = bytes.last() == Some(&b'\n');
     let chunks: Vec<&[u8]> = bytes
@@ -403,6 +427,8 @@ pub fn load_store(path: &Path) -> Result<LoadedCampaign, StoreError> {
 
     let mut records: Vec<Option<ExperimentRecord>> = Vec::new();
     records.resize_with(header.faults, || None);
+    // Per index, the line that first recorded it and that line's bytes.
+    let mut first: Vec<Option<(usize, &[u8])>> = vec![None; header.faults];
     let mut torn_tail = false;
     for (i, chunk) in chunks.iter().enumerate().skip(1) {
         let line_no = i + 1;
@@ -419,6 +445,20 @@ pub fn load_store(path: &Path) -> Result<LoadedCampaign, StoreError> {
                         header.faults
                     ),
                 })?;
+                match first[index] {
+                    None => first[index] = Some((line_no, chunk)),
+                    Some((_, earlier))
+                        if duplicates == Duplicates::IdenticalOnly && earlier == *chunk => {}
+                    Some((earlier_line, _)) => {
+                        return Err(StoreError::Corrupt {
+                            line: line_no,
+                            message: format!(
+                                "fault index {index} is recorded twice, on lines \
+                                 {earlier_line} and {line_no}"
+                            ),
+                        });
+                    }
+                }
                 *slot = Some(record);
             }
             // Only an unterminated final line can legitimately be torn —
@@ -524,7 +564,17 @@ impl JsonlStore {
         path: &Path,
         current: &StoreHeader,
     ) -> Result<(Self, LoadedCampaign), StoreError> {
-        let loaded = load_store(path)?;
+        Self::open_resume_with(path, current, Duplicates::Refuse)
+    }
+
+    /// [`JsonlStore::open_resume`] loading under an explicit [`Duplicates`]
+    /// policy.
+    fn open_resume_with(
+        path: &Path,
+        current: &StoreHeader,
+        duplicates: Duplicates,
+    ) -> Result<(Self, LoadedCampaign), StoreError> {
+        let loaded = load_store_with(path, duplicates)?;
         loaded.header.validate_against(current)?;
         if loaded.torn_tail {
             // Cut the partial final line so new appends start on a fresh
@@ -558,7 +608,9 @@ impl JsonlStore {
     /// (a crash before the header was durable: provably no records), gets
     /// a fresh store; anything else goes through
     /// [`JsonlStore::open_resume`], which validates it against `header`,
-    /// cuts a torn tail and returns the records already complete.
+    /// cuts a torn tail and returns the records already complete, loading
+    /// under the `duplicates` policy (a farm segment accepts identical
+    /// repeats, a single-process store none).
     ///
     /// # Errors
     ///
@@ -567,6 +619,7 @@ impl JsonlStore {
     pub fn resume_or_create(
         path: &Path,
         header: &StoreHeader,
+        duplicates: Duplicates,
     ) -> Result<(Self, Attached), StoreError> {
         if !path.exists() {
             return Ok((Self::create(path, header)?, Attached::Created));
@@ -574,7 +627,7 @@ impl JsonlStore {
         if headerless_remnant(path) {
             return Ok((Self::create(path, header)?, Attached::RecreatedRemnant));
         }
-        let (store, loaded) = Self::open_resume(path, header)?;
+        let (store, loaded) = Self::open_resume_with(path, header, duplicates)?;
         Ok((store, Attached::Resumed(loaded)))
     }
 
@@ -858,7 +911,8 @@ mod tests {
         let path = temp_path("attach");
 
         // Absent: a fresh store with a durable header.
-        let (store, attached) = JsonlStore::resume_or_create(&path, &header).unwrap();
+        let (store, attached) =
+            JsonlStore::resume_or_create(&path, &header, Duplicates::Refuse).unwrap();
         assert!(matches!(attached, Attached::Created), "{attached:?}");
         let _ = prepared.run(&store);
         store.finish().unwrap();
@@ -868,7 +922,8 @@ mod tests {
         // the partial line cut so appends start on a fresh line.
         let cut = full.trim_end().len() - 7;
         std::fs::write(&path, &full[..cut]).unwrap();
-        let (store, attached) = JsonlStore::resume_or_create(&path, &header).unwrap();
+        let (store, attached) =
+            JsonlStore::resume_or_create(&path, &header, Duplicates::Refuse).unwrap();
         let Attached::Resumed(loaded) = attached else {
             panic!("an existing store must resume, got {attached:?}");
         };
@@ -879,7 +934,8 @@ mod tests {
 
         // Headerless remnant: recreated afresh, holding only a header.
         std::fs::write(&path, b"{\"magic\":\"bera-camp").unwrap();
-        let (store, attached) = JsonlStore::resume_or_create(&path, &header).unwrap();
+        let (store, attached) =
+            JsonlStore::resume_or_create(&path, &header, Duplicates::Refuse).unwrap();
         assert!(
             matches!(attached, Attached::RecreatedRemnant),
             "{attached:?}"

@@ -40,6 +40,7 @@ use crate::classify::{HarnessCause, Outcome};
 use crate::experiment::{
     run_experiment_watchdog, ExperimentRecord, FaultSpec, GoldenRun, LoopConfig, WatchdogExpired,
 };
+use crate::memo::TrajectoryMemo;
 use crate::observer::CampaignObserver;
 use crate::workload::Workload;
 use bera_tcpu::scan;
@@ -163,6 +164,7 @@ fn attempt(
     index: usize,
     observer: &dyn CampaignObserver,
     sup: &SupervisorConfig,
+    memo: Option<&TrajectoryMemo>,
 ) -> Result<ExperimentRecord, (HarnessCause, String)> {
     let deadline = sup.deadline.map(|d| Instant::now() + d);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -174,7 +176,7 @@ fn attempt(
             chaos.before_attempt(index);
         }
         run_experiment_watchdog(
-            workload, cfg, golden, fault, model, detail, index, observer, deadline,
+            workload, cfg, golden, fault, model, detail, index, observer, deadline, memo,
         )
     }));
     match outcome {
@@ -193,7 +195,9 @@ fn attempt(
 /// Runs one experiment under full supervision: panic isolation, watchdog
 /// deadline, one stride-0 retry, then quarantine. Always returns a record —
 /// by construction this function cannot panic out of a worker thread for
-/// any per-experiment failure.
+/// any per-experiment failure. The first attempt may join and publish to
+/// the campaign's trajectory `memo`; the retry, which replays from reset
+/// in case the fast paths are implicated, never uses it.
 ///
 /// # Panics
 ///
@@ -211,9 +215,10 @@ pub fn run_supervised(
     index: usize,
     observer: &dyn CampaignObserver,
     sup: &SupervisorConfig,
+    memo: Option<&TrajectoryMemo>,
 ) -> ExperimentRecord {
     let first = attempt(
-        workload, cfg, golden, fault, model, detail, index, observer, sup,
+        workload, cfg, golden, fault, model, detail, index, observer, sup, memo,
     );
     let (cause, message) = match first {
         Ok(record) => return record,
@@ -232,7 +237,7 @@ pub fn run_supervised(
     let mut retry_cfg = cfg.clone();
     retry_cfg.checkpoint_stride = 0;
     let second = attempt(
-        workload, &retry_cfg, golden, fault, model, detail, index, observer, sup,
+        workload, &retry_cfg, golden, fault, model, detail, index, observer, sup, None,
     );
     let (cause, retry_message) = match second {
         Ok(record) => return record,
@@ -295,6 +300,7 @@ mod tests {
             0,
             &NullObserver,
             &sup,
+            None,
         );
         let plain = crate::experiment::run_experiment(&w, &cfg, &golden, fault, false);
         assert_eq!(
@@ -325,6 +331,7 @@ mod tests {
             3,
             &NullObserver,
             &sup,
+            None,
         );
         assert_eq!(record.outcome, Outcome::HarnessFailure(HarnessCause::Panic));
         let detail = record.harness_error.as_deref().unwrap();
@@ -356,6 +363,7 @@ mod tests {
             7,
             &NullObserver,
             &sup,
+            None,
         );
         assert!(
             !record.outcome.is_harness_failure(),
@@ -395,6 +403,7 @@ mod tests {
             4,
             &NullObserver,
             &sup,
+            None,
         );
         assert_eq!(
             record.outcome,

@@ -113,6 +113,13 @@ impl Clone for DirtySlot {
     }
 }
 
+/// Words in [`Machine::cpu_words`]: registers, control and special
+/// registers, pipeline latches, both copies of every cache line, the
+/// store and fill buffers, the EDAC syndrome, the ports and the parity
+/// switch.
+const CPU_WORDS: usize =
+    isa::NUM_REGS + 9 + 8 + 2 * crate::cache::NUM_LINES * (2 + WORDS_PER_LINE) + 8 + 9;
+
 /// Number of host-writable input ports.
 pub const NUM_IN_PORTS: usize = 4;
 /// Number of host-readable output ports.
@@ -493,8 +500,8 @@ impl Machine {
 
     /// Starts (or restarts) the dirty-word log: every subsequent write to
     /// data memory — cache write-backs and host pokes — records its dense
-    /// word key, enabling [`Machine::restore_delta_from`] and
-    /// [`Machine::state_equals_sparse`].
+    /// word key, enabling [`Machine::restore_delta_from`] and the sparse
+    /// walk of [`Machine::delta_from`].
     pub fn begin_dirty_log(&mut self) {
         match self.dirty.0.as_mut() {
             Some(log) => log.clear(),
@@ -585,33 +592,6 @@ impl Machine {
         copied
     }
 
-    /// Sparse architectural equality for the convergence check: compares
-    /// every CPU field exactly as [`Machine::state_equals`] does, but walks
-    /// data memory only over this machine's dirty-log keys plus `extra`
-    /// (the golden run's writes since the checkpoint this machine was
-    /// restored from) instead of the full image — sound because ROM is
-    /// immutable at run time and RAM/stack can differ only where one side
-    /// wrote. Returns `None` when no dirty log is active — and also once
-    /// the combined key set covers more than half of data memory, where a
-    /// random-access key walk loses to the full comparison's sequential
-    /// sweep; the caller must then fall back to the full comparison.
-    #[must_use]
-    pub fn state_equals_sparse(&self, other: &Machine, extra: &[u32]) -> Option<bool> {
-        let log = self.dirty.0.as_deref()?;
-        if log.keys.len() + extra.len() > mem::NUM_DATA_WORDS / 2 {
-            return None;
-        }
-        if !self.cpu_state_equals(other) {
-            return Some(false);
-        }
-        Some(
-            log.keys
-                .iter()
-                .chain(extra)
-                .all(|&k| self.mem.data_word(k as usize) == other.mem.data_word(k as usize)),
-        )
-    }
-
     /// FNV-1a 64 digest of the architectural state: everything that
     /// determines future behaviour, *excluding* the instruction counter and
     /// the trap latch. Two machines with equal digests at an iteration
@@ -696,6 +676,123 @@ impl Machine {
             && self.ports_in == other.ports_in
             && self.parity_cache == other.parity_cache
             && self.shadow == other.shadow
+    }
+
+    /// Every field [`Machine::cpu_state_equals`] compares, flattened into
+    /// words in a fixed order (a cache line is its tag, its valid and dirty
+    /// flags in one word, then its four data words). Two machines have equal
+    /// images exactly when `cpu_state_equals` holds.
+    fn cpu_words(&self) -> [u32; CPU_WORDS] {
+        let mut w = [0u32; CPU_WORDS];
+        let mut n = 0;
+        let mut push = |v: u32| {
+            w[n] = v;
+            n += 1;
+        };
+        self.regs.iter().for_each(|&r| push(r));
+        push(self.pc);
+        push(u32::from(self.psr));
+        push(u32::from(self.sig));
+        push(self.stack_lo);
+        push(self.stack_hi);
+        push(self.epc);
+        push(u32::from(self.cause));
+        self.save.iter().for_each(|&s| push(s));
+        push(self.fetch.word);
+        push(self.fetch.pc);
+        push(u32::from(self.fetch.valid));
+        push(self.idex.a);
+        push(self.idex.b);
+        push(self.exwb.value);
+        push(u32::from(self.exwb.rd));
+        push(u32::from(self.exwb.we));
+        for index in 0..crate::cache::NUM_LINES {
+            for line in [self.cache.line(index), &self.shadow[index]] {
+                push(line.tag);
+                push(u32::from(line.valid) | u32::from(line.dirty) << 1);
+                for word in line.data.chunks_exact(4) {
+                    push(u32::from_le_bytes(word.try_into().expect("4-byte chunk")));
+                }
+            }
+        }
+        push(self.sbuf.addr);
+        push(self.sbuf.data);
+        push(u32::from(self.sbuf.valid));
+        push(self.fbuf.addr);
+        push(self.fbuf.data);
+        push(u32::from(self.fbuf.parity));
+        push(u32::from(self.fbuf.valid));
+        push(u32::from(self.edac_syndrome));
+        self.ports_out.iter().for_each(|&p| push(p));
+        self.ports_in.iter().for_each(|&p| push(p));
+        push(u32::from(self.parity_cache));
+        debug_assert_eq!(n, CPU_WORDS, "CPU_WORDS must count every pushed word");
+        w
+    }
+
+    /// Appends to `out` an exact, canonical account of how `self` differs
+    /// from `base` in everything [`Machine::state_equals`] compares: the
+    /// number of differing CPU words, then `index << 32 | value` for each
+    /// of them (indices into the fixed [`Machine::cpu_words`] order), then
+    /// `key << 32 | value` for each differing data word in ascending dense
+    /// key order. Identical states append just `0`. So, for two machines
+    /// running the same program, equal appended sequences against the same
+    /// `base` mean `state_equals` holds between them — the key of the
+    /// campaign layer's trajectory memo.
+    ///
+    /// Data memory is walked sparsely when a dirty log is active: outside
+    /// the log's keys plus `extra` (the golden run's writes since the
+    /// checkpoint this machine was restored from) both images provably
+    /// still equal that checkpoint, because ROM is immutable at run time
+    /// and RAM/stack can differ only where one side wrote. Without a log,
+    /// or once the two sets cover more than half of data memory (where a
+    /// random-access walk loses to a sequential sweep), every word is
+    /// compared. Parity bits are not listed: every data write recomputes
+    /// them, so they follow from the words.
+    pub fn delta_from(&self, base: &Machine, extra: &[u32], out: &mut Vec<u64>) {
+        let count_at = out.len();
+        out.push(0);
+        let (a, b) = (self.cpu_words(), base.cpu_words());
+        for (i, (&x, &y)) in a.iter().zip(&b).enumerate() {
+            if x != y {
+                out.push((i as u64) << 32 | u64::from(x));
+            }
+        }
+        out[count_at] = (out.len() - count_at - 1) as u64;
+        debug_assert_eq!(
+            out[count_at] == 0,
+            self.cpu_state_equals(base),
+            "the CPU word image must cover exactly the cpu_state_equals fields"
+        );
+        let data_at = out.len();
+        let mut note = |k: usize| {
+            let (x, y) = (self.mem.data_word(k), base.mem.data_word(k));
+            if x != y {
+                out.push((k as u64) << 32 | u64::from(x));
+            }
+        };
+        match self.dirty.0.as_deref() {
+            Some(log) if log.keys.len() + extra.len() <= mem::NUM_DATA_WORDS / 2 => {
+                log.keys.iter().chain(extra).for_each(|&k| note(k as usize));
+                // The two key lists may share words and the log is in write
+                // order: sort and dedup so the account is canonical.
+                out[data_at..].sort_unstable();
+                let mut kept = data_at;
+                for i in data_at..out.len() {
+                    if kept == data_at || out[i] != out[kept - 1] {
+                        out[kept] = out[i];
+                        kept += 1;
+                    }
+                }
+                out.truncate(kept);
+            }
+            _ => (0..mem::NUM_DATA_WORDS).for_each(note),
+        }
+        debug_assert_eq!(
+            out.len() == count_at + 1,
+            self.state_equals(base),
+            "an empty account must mean architectural equality"
+        );
     }
 
     /// Host-side write of a data word (campaign initialisation).
@@ -2408,21 +2505,61 @@ mod tests {
     }
 
     #[test]
+    fn delta_from_accounts_for_every_scan_bit_and_data_word() {
+        let mut golden = machine_with(REPLAY_SRC);
+        assert_eq!(golden.run(10_000), RunExit::Yield);
+        let base = golden.clone();
+        let mut same = Vec::new();
+        base.delta_from(&base, &[], &mut same);
+        assert_eq!(same, [0]);
+        for &loc in crate::scan::catalog() {
+            let mut m = base.clone();
+            m.scan_flip(loc);
+            let mut d = Vec::new();
+            m.delta_from(&base, &[], &mut d);
+            assert_eq!(d.len() > 1, !m.state_equals(&base), "{loc:?}");
+            assert!(d.len() > 1, "flipping {loc:?} must show in the account");
+        }
+    }
+
+    #[test]
     fn sparse_equality_agrees_with_full_equality() {
         let mut golden = machine_with(REPLAY_SRC);
         assert_eq!(golden.run(10_000), RunExit::Yield);
         let checkpoint = golden.clone();
+        // The sparse walk (dirty log plus extra keys) and the full walk (a
+        // clone carries no log) give the same canonical account, empty
+        // exactly when `state_equals` holds.
+        let accounts = |m: &Machine, extra: &[u32]| {
+            let (mut sparse, mut full) = (Vec::new(), Vec::new());
+            m.delta_from(&checkpoint, extra, &mut sparse);
+            m.clone().delta_from(&checkpoint, &[], &mut full);
+            (sparse, full)
+        };
         let mut m = checkpoint.clone();
-        assert!(m.state_equals_sparse(&checkpoint, &[]).is_none(), "no log");
         m.begin_dirty_log();
-        assert_eq!(m.state_equals_sparse(&checkpoint, &[]), Some(true));
-        // Diverge in memory only via a logged poke.
+        let (sparse, full) = accounts(&m, &[]);
+        assert_eq!(sparse, full);
+        assert_eq!(sparse == [0], m.state_equals(&checkpoint));
+        assert_eq!(sparse, [0]);
+        // Diverge in memory only via a logged poke; the extra keys may
+        // repeat a logged word.
         assert!(m.poke_word(mem::RAM_BASE + 0x40, 0x1234_5678));
-        assert_eq!(
-            m.state_equals_sparse(&checkpoint, &[]),
-            Some(m.state_equals(&checkpoint))
-        );
-        assert_eq!(m.state_equals_sparse(&checkpoint, &[]), Some(false));
+        let (sparse, full) = accounts(&m, &[0x10, 0x10]);
+        assert_eq!(sparse, full);
+        assert_eq!(sparse == [0], m.state_equals(&checkpoint));
+        assert_eq!(sparse, [0, 0x10 << 32 | 0x1234_5678]);
+        // Writing the old value back restores equality on both walks.
+        let old = checkpoint
+            .memory()
+            .read_word(mem::RAM_BASE + 0x40)
+            .unwrap()
+            .0;
+        assert!(m.poke_word(mem::RAM_BASE + 0x40, old));
+        let (sparse, full) = accounts(&m, &[0x10]);
+        assert_eq!(sparse, full);
+        assert_eq!(sparse, [0]);
+        assert!(m.state_equals(&checkpoint));
     }
 }
 

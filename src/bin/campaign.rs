@@ -49,7 +49,7 @@ use bera::goofi::experiment::{ExperimentRecord, FaultModel, LoopConfig};
 use bera::goofi::failpoints;
 use bera::goofi::farm;
 use bera::goofi::observer::{CampaignObserver, ObserverSet, Telemetry};
-use bera::goofi::store::{write_telemetry_sidecar, Attached, JsonlStore, StoreHeader};
+use bera::goofi::store::{write_telemetry_sidecar, Attached, Duplicates, JsonlStore, StoreHeader};
 use bera::goofi::table::tabulate;
 use bera::goofi::workload::Workload;
 use std::path::Path;
@@ -409,7 +409,7 @@ fn main() -> ExitCode {
             let path = Path::new(path);
             let header = StoreHeader::new(args.workload.name(), &cfg, prepared.golden());
             let attach = if args.resume {
-                JsonlStore::resume_or_create(path, &header)
+                JsonlStore::resume_or_create(path, &header, Duplicates::Refuse)
             } else {
                 JsonlStore::create(path, &header).map(|store| (store, Attached::Created))
             };

@@ -263,6 +263,15 @@ fn report_telemetry_sidecar(store_path: &str) {
                     snap.arena_full_clones,
                 );
             }
+            if snap.memo_joined > 0 {
+                eprintln!(
+                    "{store_path}: trajectory memo: {} of {} simulated runs ended by \
+                     joining an earlier run's state (which ones depends on the \
+                     thread schedule; the records do not)",
+                    snap.memo_joined,
+                    snap.simulated(),
+                );
+            }
         }
         Err(e) => eprintln!("note: {side} is unreadable ({e}); ignoring"),
     }

@@ -494,6 +494,37 @@ fn crash_mid_claim_in_the_parallel_scheduler_recovers() {
 }
 
 #[test]
+fn panicking_claims_emit_every_index_exactly_once() {
+    // campaign.claim=panic@6 kills both workers of a two-worker campaign
+    // in process, after they have classified and emitted their first
+    // claims. The self-heal pass must re-run only the claims that never
+    // classified: one store line per index (I2), telemetry that counts
+    // every fault once (I3), and the uncrashed records (I5) — with no
+    // resume in between.
+    let store = scratch_store("claim-panic");
+    let out = run_campaign(
+        &store,
+        2,
+        Flags::Scalar,
+        &["--failpoint", "campaign.claim=panic@6"],
+    );
+    assert!(
+        out.status.success(),
+        "a worker panic is healed in process:\n{}",
+        stderr_of(&out)
+    );
+    assert_recovered_identical(&store, Flags::Scalar);
+    let json = std::fs::read_to_string(telemetry_sidecar_path(&store)).expect("read sidecar");
+    let snap: bera::goofi::observer::TelemetrySnapshot =
+        serde_json::from_str(&json).expect("sidecar parses");
+    assert_eq!(snap.total, FAULTS);
+    assert_eq!(
+        snap.completed, snap.total,
+        "every fault is classified exactly once"
+    );
+}
+
+#[test]
 fn crash_before_self_heal_recovers() {
     // campaign.claim=panic@6 kills the workers (lost claims), then
     // campaign.self-heal=crash dies before the serial re-run of those

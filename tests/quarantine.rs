@@ -13,13 +13,15 @@
 //! all untouched records match the baseline byte for byte.
 
 use bera_goofi::campaign::{prepare_campaign, run_scifi_campaign_observed, CampaignConfig};
-use bera_goofi::observer::Telemetry;
+use bera_goofi::experiment::{ExperimentRecord, LoopConfig, Provenance};
+use bera_goofi::observer::{CampaignObserver, Telemetry};
+use bera_goofi::planner::plan_campaign;
 use bera_goofi::store::{load_store, JsonlStore, StoreHeader};
 use bera_goofi::workload::Workload;
 use bera_goofi::{ChaosHarness, HarnessCause, Outcome, SupervisorConfig};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -193,5 +195,60 @@ fn parallel_sabotaged_campaign_matches_serial() {
             .filter(|r| r.outcome.is_harness_failure())
             .count(),
         3
+    );
+}
+
+/// The runner announces every simulation it emits a record for — also a
+/// replicated member that falls back to simulation because its class
+/// representative was quarantined — so the ETA counts such fallbacks as
+/// work left instead of reading 0 s while they run.
+#[test]
+fn fallback_simulations_of_a_quarantined_class_are_announced() {
+    #[derive(Default)]
+    struct Work {
+        scheduled: AtomicUsize,
+        simulated: AtomicUsize,
+    }
+    impl CampaignObserver for Work {
+        fn simulations_scheduled(&self, count: usize) {
+            self.scheduled.fetch_add(count, Ordering::Relaxed);
+        }
+        fn experiment_classified(&self, _index: usize, record: &ExperimentRecord) {
+            if record.provenance == Provenance::Simulated {
+                self.simulated.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+    let workload = Workload::algorithm_one();
+    // A small campaign dense enough in time that two faults share a scan
+    // bit and a first read, which makes a replicated class.
+    let mut cfg = CampaignConfig::quick(200, 2);
+    cfg.loop_cfg = LoopConfig::short(20);
+    cfg.threads = 1;
+    let prepared = prepare_campaign(&workload, &cfg);
+    let plan = plan_campaign(prepared.faults(), &cfg, prepared.golden());
+    let (rep, members) = plan
+        .classes()
+        .into_iter()
+        .max_by_key(|(_, members)| members.len())
+        .expect("the planned campaign has a replicated class");
+    cfg.supervisor = SupervisorConfig {
+        deadline: None,
+        chaos: Some(Arc::new(ChaosHarness::panicking([rep]))),
+    };
+    let work = Work::default();
+    let result = run_scifi_campaign_observed(&workload, &cfg, &work);
+    assert!(result.records[rep].outcome.is_harness_failure());
+    for &m in &members {
+        assert_eq!(
+            result.records[m].provenance,
+            Provenance::Simulated,
+            "member {m} of quarantined representative {rep} must fall back"
+        );
+    }
+    assert_eq!(
+        work.scheduled.load(Ordering::Relaxed),
+        work.simulated.load(Ordering::Relaxed),
+        "every emitted simulation was announced before it ran"
     );
 }

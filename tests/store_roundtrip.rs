@@ -16,7 +16,10 @@
 use bera_goofi::campaign::{prepare_campaign, CampaignConfig};
 use bera_goofi::classify::{HarnessCause, Outcome, Severity};
 use bera_goofi::experiment::{ExperimentRecord, FaultSpec, Provenance};
-use bera_goofi::store::{decode_record, encode_record, load_store, JsonlStore, StoreHeader};
+use bera_goofi::store::{
+    decode_record, encode_record, load_store, load_store_with, Duplicates, JsonlStore, StoreError,
+    StoreHeader,
+};
 use bera_goofi::table::TABLE_MECHANISMS;
 use bera_goofi::workload::Workload;
 use bera_tcpu::scan;
@@ -353,4 +356,45 @@ fn untorn_reference_store_is_complete() {
     assert!(!loaded.torn_tail);
     assert_eq!(loaded.done(), 6);
     assert!(loaded.is_complete());
+}
+
+/// A store that records one fault index on two lines — what a runner that
+/// emits a record twice leaves — is refused by the loader, by `--resume`'s
+/// attach routine and by `report`, with an error naming the index and both
+/// lines. A farm segment accepts only a byte-identical repeat.
+#[test]
+fn a_repeated_index_is_refused_with_both_line_numbers() {
+    let text = reference_store_text();
+    let lines: Vec<&str> = text.lines().collect();
+    let (index, _) = decode_record(lines[2]).expect("record line decodes");
+    let mut repeated = lines.clone();
+    repeated.push(lines[2]);
+    let path = temp_path("repeat");
+    std::fs::write(&path, repeated.join("\n") + "\n").expect("write store");
+    let expect_refusal = |result: Result<(), StoreError>| match result {
+        Err(StoreError::Corrupt { line, message }) => {
+            assert_eq!(line, 8, "the second occurrence is line 8");
+            assert!(
+                message.contains(&format!("fault index {index}"))
+                    && message.contains("lines 3 and 8"),
+                "{message}"
+            );
+        }
+        other => panic!("a repeated index must be refused, got {other:?}"),
+    };
+    expect_refusal(load_store(&path).map(drop));
+    let header = load_store_with(&path, Duplicates::IdenticalOnly)
+        .expect("an identical repeat is accepted where allowed")
+        .header;
+    expect_refusal(JsonlStore::resume_or_create(&path, &header, Duplicates::Refuse).map(drop));
+
+    // A repeat whose bytes differ is refused under either policy.
+    let mut altered = lines.clone();
+    let (_, mut record) = decode_record(lines[2]).expect("decodes");
+    record.pruned_at = Some(record.pruned_at.map_or(1, |p| p + 1));
+    let altered_line = encode_record(index, &record);
+    altered.push(&altered_line);
+    std::fs::write(&path, altered.join("\n") + "\n").expect("write store");
+    expect_refusal(load_store_with(&path, Duplicates::IdenticalOnly).map(drop));
+    let _ = std::fs::remove_file(&path);
 }
